@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
         exec::HashJoinProbe::Spec spec;
         spec.algorithm = join::Algorithm::kCPRL;
         spec.build = build.cspan();
-        spec.key_domain = domain;
         spec.radix_bits = radix_bits;
         exec::HashJoinProbe join_probe(spec);
         exec::CountAggregate aggregate(

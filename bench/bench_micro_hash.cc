@@ -117,7 +117,7 @@ void BM_ArrayBuild(benchmark::State& state) {
   hash::ArrayTable table(System(), tuples.size(), 0,
                          numa::Placement::kLocal);
   for (auto _ : state) {
-    table.Reset(tuples.size(), 0);
+    table.Reset(tuples.size(), hash::ArrayTable::KeyMap{});
     for (const Tuple& t : tuples) table.InsertSerial(t);
   }
   state.SetItemsProcessed(state.iterations() * tuples.size());

@@ -56,14 +56,12 @@ class KeyRangeFilter final : public exec::Operator {
 std::vector<join::MatchedPair> JoinToIndex(numa::NumaSystem* system,
                                            const exec::PipelineConfig& config,
                                            ConstTupleSpan build,
-                                           uint64_t key_domain,
                                            ConstTupleSpan probe,
                                            const char* label) {
   exec::TupleScan scan(probe);
   exec::HashJoinProbe::Spec spec;
   spec.algorithm = join::Algorithm::kCPRL;
   spec.build = build;
-  spec.key_domain = key_domain;
   exec::HashJoinProbe join_probe(spec);
   exec::JoinIndexMaterialize index;
   exec::Pipeline pipeline(&scan, {&join_probe}, &index);
@@ -108,9 +106,9 @@ int main(int argc, char** argv) {
 
   // Lower joins (independent subtrees of the bushy plan).
   const std::vector<join::MatchedPair> j1 =
-      JoinToIndex(&system, config, a.cspan(), dim, b.cspan(), "J1 = A |><| B");
+      JoinToIndex(&system, config, a.cspan(), b.cspan(), "J1 = A |><| B");
   const std::vector<join::MatchedPair> j2 =
-      JoinToIndex(&system, config, c.cspan(), dim, d.cspan(), "J2 = C |><| D");
+      JoinToIndex(&system, config, c.cspan(), d.cspan(), "J2 = C |><| D");
 
   // Top join: J1 (non-unique keys!) as build, J2 as the scanned probe side.
   const std::vector<Tuple> j1_tuples = Rekey(j1);
@@ -122,7 +120,6 @@ int main(int argc, char** argv) {
   exec::HashJoinProbe::Spec top_spec;
   top_spec.algorithm = join::Algorithm::kNOP;
   top_spec.build = ConstTupleSpan(j1_tuples.data(), j1_tuples.size());
-  top_spec.key_domain = dim;
   top_spec.build_unique = false;
   exec::HashJoinProbe top_join(top_spec);
   exec::CountAggregate agg;

@@ -59,13 +59,17 @@ REPORT_REQUIRED = {
     "threads": int,
     "matches": int,
     "checksum": int,
+    "key_shape": dict,
     "times": dict,
     "steals": dict,
     "counters": dict,
 }
 
-TIMES_REQUIRED = {"partition_ns": int, "build_ns": int, "probe_ns": int,
-                  "total_ns": int}
+KEY_SHAPE_REQUIRED = {"base": int, "max": int, "shift": int,
+                      "stripped_domain": int}
+
+TIMES_REQUIRED = {"shape_ns": int, "partition_ns": int, "build_ns": int,
+                  "probe_ns": int, "total_ns": int}
 
 HISTOGRAM_SUMMARY_REQUIRED = {"count": int, "sum": int, "max": int,
                               "p50": int, "p95": int, "p99": int}
@@ -257,6 +261,9 @@ def check_report_file(path, text):
         return fail(path, f"schema is {obj.get('schema')!r}, expected "
                           "'mmjoin.report.v1'")
     if not check_fields(path, obj, REPORT_REQUIRED, "report"):
+        return False
+    if not check_fields(path, obj["key_shape"], KEY_SHAPE_REQUIRED,
+                        "report key_shape"):
         return False
     if not check_fields(path, obj["times"], TIMES_REQUIRED, "report times"):
         return False

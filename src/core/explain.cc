@@ -125,17 +125,22 @@ std::string FormatExplainText(const ExplainReport& report) {
          " threads=" + std::to_string(report.threads) + "\n";
   out += "  result    : matches=" + U64(report.result.matches) +
          " checksum=" + U64(report.result.checksum) + "\n";
+  const join::KeyShape& shape = report.result.key_shape;
+  out += "  key shape : base=" + U64(shape.base) + " max=" + U64(shape.max) +
+         " shift=" + std::to_string(shape.shift) +
+         " stripped_domain=" + U64(shape.stripped_domain()) + "\n";
   const join::PhaseTimes& times = report.result.times;
   const double mtps =
       times.total_ns > 0
           ? static_cast<double>(report.build_size + report.probe_size) * 1e3 /
                 static_cast<double>(times.total_ns)
           : 0.0;
-  char line[160];
+  char line[192];
   std::snprintf(line, sizeof(line),
-                "  wall clock: partition=%sms build=%sms probe=%sms "
-                "total=%sms (%.1f Mtps)\n",
-                Ms(times.partition_ns).c_str(), Ms(times.build_ns).c_str(),
+                "  wall clock: shape=%sms partition=%sms build=%sms "
+                "probe=%sms total=%sms (%.1f Mtps)\n",
+                Ms(times.shape_ns).c_str(), Ms(times.partition_ns).c_str(),
+                Ms(times.build_ns).c_str(),
                 Ms(times.probe_ns).c_str(), Ms(times.total_ns).c_str(), mtps);
   out += line;
 
@@ -198,8 +203,15 @@ std::string ExplainReportJson(const ExplainReport& report) {
   out += ",\"threads\":" + std::to_string(report.threads);
   out += ",\"matches\":" + U64(report.result.matches);
   out += ",\"checksum\":" + U64(report.result.checksum);
+  const join::KeyShape& shape = report.result.key_shape;
+  out += ",\"key_shape\":{\"base\":" + U64(shape.base) +
+         ",\"max\":" + U64(shape.max) +
+         ",\"shift\":" + std::to_string(shape.shift) +
+         ",\"stripped_domain\":" + U64(shape.stripped_domain()) + "}";
   const join::PhaseTimes& times = report.result.times;
-  out += ",\"times\":{\"partition_ns\":" +
+  out += ",\"times\":{\"shape_ns\":" +
+         U64(static_cast<uint64_t>(times.shape_ns)) +
+         ",\"partition_ns\":" +
          U64(static_cast<uint64_t>(times.partition_ns)) +
          ",\"build_ns\":" + U64(static_cast<uint64_t>(times.build_ns)) +
          ",\"probe_ns\":" + U64(static_cast<uint64_t>(times.probe_ns)) +

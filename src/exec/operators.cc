@@ -73,10 +73,9 @@ StatusOr<join::JoinResult> HashJoinProbe::Execute(
     mem::BudgetTracker tracker(*config.mem_budget_bytes);
     join::JoinConfig budgeted = config;
     budgeted.budget = &tracker;
-    return algorithm->Run(system, budgeted, spec_.build, probe,
-                          spec_.key_domain);
+    return algorithm->Run(system, budgeted, spec_.build, probe);
   }
-  return algorithm->Run(system, config, spec_.build, probe, spec_.key_domain);
+  return algorithm->Run(system, config, spec_.build, probe);
 }
 
 void CountAggregate::Append(int tid, const DataChunk& chunk) {

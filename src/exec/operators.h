@@ -95,8 +95,6 @@ class HashJoinProbe final : public Operator {
   struct Spec {
     join::Algorithm algorithm = join::Algorithm::kNOP;
     ConstTupleSpan build;
-    // Exclusive key-domain bound for the array joins (0 = scan for max).
-    uint64_t key_domain = 0;
     uint32_t radix_bits = 0;   // 0 = Eq (1) prediction
     uint32_t num_passes = 0;   // 0 = algorithm default
     uint32_t skew_task_factor = 8;

@@ -7,7 +7,7 @@ namespace mmjoin::hash {
 ConciseHashTable::ConciseHashTable(numa::NumaSystem* system,
                                    uint64_t num_tuples,
                                    numa::Placement placement, int home_node,
-                                   IdentityHash hasher)
+                                   RadixShiftHash hasher)
     : hasher_(hasher),
       num_tuples_(num_tuples),
       num_buckets_(NextPowerOfTwo(std::max<uint64_t>(num_tuples * 8, 64))),

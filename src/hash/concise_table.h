@@ -49,10 +49,11 @@ class ConciseHashTable {
   };
 
   // Table for exactly `num_tuples` build tuples; bucket count is the next
-  // power of two of 8 * num_tuples.
+  // power of two of 8 * num_tuples. The bucket of key k is hasher(k) masked
+  // by the bucket count; CHTJ shifts by the low bits all build keys share.
   ConciseHashTable(numa::NumaSystem* system, uint64_t num_tuples,
                    numa::Placement placement, int home_node = 0,
-                   IdentityHash hasher = IdentityHash{});
+                   RadixShiftHash hasher = RadixShiftHash{});
 
   ConciseHashTable(const ConciseHashTable&) = delete;
   ConciseHashTable& operator=(const ConciseHashTable&) = delete;
@@ -87,8 +88,28 @@ class ConciseHashTable {
   // Calls `emit(build_tuple)` for each match; returns the match count.
   template <typename Emit>
   MMJOIN_ALWAYS_INLINE uint64_t Probe(uint32_t key, Emit&& emit) const {
+    return ProbeAt(hasher_(key), key, emit);
+  }
+
+  // Probe for unique build sides: stops at the first match; the overflow
+  // table is consulted only when the bitmap chain had none.
+  template <typename Emit>
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeUnique(uint32_t key, Emit&& emit) const {
+    return ProbeUniqueAt(hasher_(key), key, emit);
+  }
+
+  // For a hash function that maps every key to itself.
+  IdentityProbeView<ConciseHashTable> IdentityView() const {
+    MMJOIN_DCHECK(hasher_(kEmptyKey - 1) == kEmptyKey - 1);
+    return IdentityProbeView<ConciseHashTable>(*this);
+  }
+
+  // Probe and ProbeUnique given the key's hash value.
+  template <typename Emit>
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeAt(uint32_t hash, uint32_t key,
+                                        Emit&& emit) const {
     uint64_t matches = 0;
-    const uint64_t h = hasher_(key) & bucket_mask_;
+    const uint64_t h = hash & bucket_mask_;
     for (int j = 0; j < kProbeThreshold; ++j) {
       const uint64_t bucket = (h + j) & bucket_mask_;
       const Group& group = groups_[bucket >> 6];
@@ -111,11 +132,10 @@ class ConciseHashTable {
     return matches;
   }
 
-  // Probe for unique build sides: stops at the first match; the overflow
-  // table is consulted only when the bitmap chain had none.
   template <typename Emit>
-  MMJOIN_ALWAYS_INLINE uint64_t ProbeUnique(uint32_t key, Emit&& emit) const {
-    const uint64_t h = hasher_(key) & bucket_mask_;
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeUniqueAt(uint32_t hash, uint32_t key,
+                                              Emit&& emit) const {
+    const uint64_t h = hash & bucket_mask_;
     for (int j = 0; j < kProbeThreshold; ++j) {
       const uint64_t bucket = (h + j) & bucket_mask_;
       const Group& group = groups_[bucket >> 6];
@@ -170,7 +190,7 @@ class ConciseHashTable {
     return matches;
   }
 
-  IdentityHash hasher_;
+  RadixShiftHash hasher_;
   uint64_t num_tuples_;
   uint64_t num_buckets_;
   uint64_t bucket_mask_;

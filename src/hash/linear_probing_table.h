@@ -99,8 +99,24 @@ class LinearProbingTable {
   // correct semantics when build keys may repeat.
   template <typename Emit>
   MMJOIN_ALWAYS_INLINE uint64_t Probe(uint32_t key, Emit&& emit) const {
+    return ProbeAt(hasher_(key), key, emit);
+  }
+
+  // Probe for unique (primary-key) build sides: stops at the first match.
+  // This is the variant the NOP literature uses -- with the identity hash on
+  // a dense key domain the table is one contiguous occupied cluster, so
+  // scanning to the next empty slot would degenerate to O(n) per probe.
+  template <typename Emit>
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeUnique(uint32_t key, Emit&& emit) const {
+    return ProbeUniqueAt(hasher_(key), key, emit);
+  }
+
+  // Probe and ProbeUnique given the key's hash value.
+  template <typename Emit>
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeAt(uint32_t hash, uint32_t key,
+                                        Emit&& emit) const {
     uint64_t matches = 0;
-    uint64_t slot = hasher_(key) & mask_;
+    uint64_t slot = hash & mask_;
     while (true) {
       const uint64_t packed = slots_[slot].load(std::memory_order_acquire);
       if (packed == kEmptySlot) return matches;
@@ -113,13 +129,10 @@ class LinearProbingTable {
     }
   }
 
-  // Probe for unique (primary-key) build sides: stops at the first match.
-  // This is the variant the NOP literature uses -- with the identity hash on
-  // a dense key domain the table is one contiguous occupied cluster, so
-  // scanning to the next empty slot would degenerate to O(n) per probe.
   template <typename Emit>
-  MMJOIN_ALWAYS_INLINE uint64_t ProbeUnique(uint32_t key, Emit&& emit) const {
-    uint64_t slot = hasher_(key) & mask_;
+  MMJOIN_ALWAYS_INLINE uint64_t ProbeUniqueAt(uint32_t hash, uint32_t key,
+                                              Emit&& emit) const {
+    uint64_t slot = hash & mask_;
     while (true) {
       const uint64_t packed = slots_[slot].load(std::memory_order_acquire);
       if (packed == kEmptySlot) return 0;
@@ -130,6 +143,12 @@ class LinearProbingTable {
       }
       slot = (slot + 1) & mask_;
     }
+  }
+
+  // For a hash function that maps every key to itself.
+  IdentityProbeView<LinearProbingTable> IdentityView() const {
+    MMJOIN_DCHECK(hasher_(kEmptyKey - 1) == kEmptyKey - 1);
+    return IdentityProbeView<LinearProbingTable>(*this);
   }
 
   uint64_t capacity() const { return capacity_; }

@@ -28,9 +28,10 @@ class ChtJoin final : public JoinAlgorithm {
  public:
   Algorithm id() const override { return Algorithm::kCHTJ; }
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
+  StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                               const JoinConfig& config, ConstTupleSpan build,
+                               ConstTupleSpan probe,
+                               const KeyShape& shape) override {
     const int num_threads = config.num_threads;
 
     if (BuildAllocFailpoint()) return InjectedAllocError("build");
@@ -46,18 +47,24 @@ class ChtJoin final : public JoinAlgorithm {
 
     // Allocate + prefault all working memory before timing (buffer-manager
     // assumption, Section 5.1).
+    // Buckets come from the stripped key, so strided keys spread like dense
+    // ones.
     hash::ConciseHashTable table(system, build.size(),
-                                 numa::Placement::kInterleavedPages);
+                                 numa::Placement::kInterleavedPages,
+                                 /*home_node=*/0,
+                                 hash::RadixShiftHash{shape.shift});
 
-    // One radix partition per bitmap region; regions are group-aligned (64
-    // buckets), so cap the region count accordingly.
+    // One radix partition per bitmap region -- the top bits of the bucket
+    // index; regions are group-aligned (64 buckets), so cap the region
+    // count accordingly.
     const uint64_t num_groups = table.num_buckets() / 64;
     const uint64_t regions = std::min<uint64_t>(
         NextPowerOfTwo(static_cast<uint64_t>(num_threads)), num_groups);
     const uint32_t region_bits = FloorLog2(regions);
     const uint32_t bucket_bits = FloorLog2(table.num_buckets());
     const partition::RadixFn region_fn{
-        /*shift=*/bucket_bits - region_bits, /*bits=*/region_bits};
+        /*shift=*/shape.shift + bucket_bits - region_bits,
+        /*bits=*/region_bits};
     const uint64_t buckets_per_region = table.num_buckets() >> region_bits;
 
     if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
@@ -154,7 +161,7 @@ class ChtJoin final : public JoinAlgorithm {
           thread::ChunkRange(probe.size(), num_threads, tid);
       system->CountRead(node, probe.data() + s_range.begin,
                         s_range.size() * sizeof(Tuple));
-      ProbeRange(table, probe.data(), s_range.begin, s_range.end,
+      ProbeRange(table, shape, probe.data(), s_range.begin, s_range.end,
                  config.build_unique, sink, tid, &stats[tid]);
       system->CountRead(node, partitioned.data(),
                         s_range.size() * 2 * kCacheLineSize);

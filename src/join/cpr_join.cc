@@ -10,12 +10,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "hash/array_table.h"
-#include "hash/linear_probing_table.h"
 #include "join/internal.h"
 #include "join/join_algorithm.h"
+#include "join/partition_tables.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,7 +44,7 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
                            const partition::ChunkedLayout& r_layout,
                            const partition::ChunkedLayout& s_layout,
                            const Tuple* r_data, const Tuple* s_data,
-                           uint64_t partition_domain, uint32_t bits,
+                           const PartitionKeys& keys,
                            bool build_unique, MatchSink* sink,
                            Scratch* scratch, ThreadStats* local,
                            JoinAbort* abort,
@@ -78,12 +78,16 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
         build_table = slots->GetOrBuild<Scratch>(
             slot,
             [&] {
-              auto table = std::make_unique<Scratch>(
-                  system, r_size, partition_domain, bits, node);
-              gather(table.get());
-              return table;
+              auto table = Scratch::Create(system, r_size, keys, node);
+              if (!table.ok()) {
+                abort->Set(table.status());
+                return std::unique_ptr<Scratch>();
+              }
+              gather(table->get());
+              return *std::move(table);
             },
             &built_here);
+        if (build_table == nullptr) return;
       } else {
         gather(scratch);
       }
@@ -107,8 +111,8 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
       const uint64_t size = s_layout.FragmentSize(c, p);
       probe_bytes += size * sizeof(Tuple);
       system->CountRead(node, fragment, size * sizeof(Tuple));
-      ProbeRange(*build_table, fragment, 0, size, build_unique, sink, tid,
-                 local);
+      ProbeRange(*build_table, keys.shape, fragment, 0, size, build_unique,
+                 sink, tid, local);
     }
     if (stolen_from >= 0) {
       // Chunked partitions are spread over all nodes; attribute the probe
@@ -121,49 +125,19 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
   }
 }
 
-struct LinearChunkScratch {
-  using Table = hash::LinearProbingTable<hash::RadixShiftHash>;
-  std::unique_ptr<Table> table;
-  LinearChunkScratch(numa::NumaSystem* system, uint64_t max_tuples,
-                     uint64_t partition_domain, uint32_t bits, int node)
-      : table(std::make_unique<Table>(system,
-                                      std::max<uint64_t>(max_tuples, 1),
-                                      numa::Placement::kLocal, node,
-                                      hash::RadixShiftHash{bits})) {}
-  void Prepare(uint64_t build_size) { table->Reset(build_size); }
-  void Insert(Tuple t) { table->InsertSerial(t); }
-  template <typename Emit>
-  void Probe(uint32_t key, Emit&& emit) const {
-    table->Probe(key, emit);
+// The per-worker scratch table, sized for the largest build partition: the
+// join phase's build-side allocation.
+template <typename Scratch>
+StatusOr<std::unique_ptr<Scratch>> CreateScratch(
+    numa::NumaSystem* system, const partition::ChunkedLayout& r_layout,
+    const PartitionKeys& keys, int node) {
+  if (BuildAllocFailpoint()) return InjectedAllocError("build");
+  uint64_t max_r_partition = 0;
+  for (uint32_t p = 0; p < r_layout.num_partitions; ++p) {
+    max_r_partition = std::max(max_r_partition, r_layout.PartitionSize(p));
   }
-  template <typename Emit>
-  void ProbeUnique(uint32_t key, Emit&& emit) const {
-    table->ProbeUnique(key, emit);
-  }
-};
-
-struct ArrayChunkScratch {
-  std::unique_ptr<hash::ArrayTable> table;
-  uint64_t partition_domain;
-  uint32_t bits;
-  ArrayChunkScratch(numa::NumaSystem* system, uint64_t max_tuples,
-                    uint64_t partition_domain_in, uint32_t bits_in, int node)
-      : table(std::make_unique<hash::ArrayTable>(
-            system, std::max<uint64_t>(partition_domain_in, 1), bits_in,
-            numa::Placement::kLocal, node)),
-        partition_domain(std::max<uint64_t>(partition_domain_in, 1)),
-        bits(bits_in) {}
-  void Prepare(uint64_t build_size) { table->Reset(partition_domain, bits); }
-  void Insert(Tuple t) { table->InsertSerial(t); }
-  template <typename Emit>
-  void Probe(uint32_t key, Emit&& emit) const {
-    table->Probe(key, emit);
-  }
-  template <typename Emit>
-  void ProbeUnique(uint32_t key, Emit&& emit) const {
-    table->ProbeUnique(key, emit);
-  }
-};
+  return Scratch::Create(system, max_r_partition, keys, node);
+}
 
 class CprJoin final : public JoinAlgorithm {
  public:
@@ -173,9 +147,10 @@ class CprJoin final : public JoinAlgorithm {
 
   Algorithm id() const override { return id_; }
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
+  StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                               const JoinConfig& config, ConstTupleSpan build,
+                               ConstTupleSpan probe,
+                               const KeyShape& shape) override {
     const int num_threads = config.num_threads;
     const bool array = id_ == Algorithm::kCPRA;
 
@@ -189,9 +164,6 @@ class CprJoin final : public JoinAlgorithm {
     bits = std::min<uint32_t>(
         bits, std::max<uint32_t>(
                   CeilLog2(std::max<uint64_t>(build.size(), 2)), 1));
-
-    const uint64_t domain =
-        array ? InferKeyDomain(build, key_domain) : key_domain;
 
     // Budget planning (docs/ROBUSTNESS.md "Memory budgets"): CPR has no
     // two-pass mode, so degradation is bit escalation then spill waves.
@@ -212,7 +184,7 @@ class CprJoin final : public JoinAlgorithm {
       plan_in.bits_fixed = config.radix_bits != 0;
       plan_in.scratch_total_bytes =
           array ? partition::kArraySpace.bytes_per_tuple *
-                      static_cast<double>(std::max<uint64_t>(domain, 1))
+                      static_cast<double>(shape.stripped_domain())
                 : partition::kLinearSpace.bytes_per_tuple *
                       static_cast<double>(build.size());
       plan_in.budget_bytes = config.budget->budget_bytes();
@@ -241,17 +213,14 @@ class CprJoin final : public JoinAlgorithm {
     if (WaveBudgetFailpoint()) wave_count = std::max<uint32_t>(wave_count, 2);
     if (wave_count > 1 && probe.empty()) wave_count = 1;
 
-    const uint64_t partition_domain =
-        domain == 0 ? 0 : CeilDiv(domain, uint64_t{1} << bits);
-
+    const PartitionKeys keys{shape, bits};
     if (wave_count > 1) {
       mem::CountBudgetWave();
       MMJOIN_LOG(kWarn, "budget.wave")
           .Field("algo", NameOf(id_))
           .Field("waves", wave_count)
           .Field("bits", bits);
-      return RunWaves(system, config, build, probe, partition_domain, bits,
-                      wave_count);
+      return RunWaves(system, config, build, probe, keys, wave_count);
     }
 
     if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
@@ -267,7 +236,7 @@ class CprJoin final : public JoinAlgorithm {
                          "CPR S partition buffer"));
 
     partition::RadixOptions options;
-    options.fn = partition::RadixFn{0, bits};
+    options.fn = keys.Fn();
     options.use_swwcb = true;
     options.num_threads = num_threads;
     partition::ChunkedRadixPartitioner r_partitioner(
@@ -282,7 +251,6 @@ class CprJoin final : public JoinAlgorithm {
     thread::ShardedTaskQueue* queue =
         SelectJoinQueue(executor, *system, &fallback_queue);
     SkewBuildSlots slots;
-    uint64_t max_r_partition = 0;
     JoinAbort abort;
     auto profiler = obs::MakeJoinProfiler(num_threads);
     // Partition buffers were allocated + prefaulted untimed (buffer-manager
@@ -310,36 +278,30 @@ class CprJoin final : public JoinAlgorithm {
             SeedQueue(queue, &slots, system, config, s_partitioner.layout(),
                       probe.size(), num_threads);
         if (!seed_status.ok()) abort.Set(seed_status);
-        const auto& r_layout = r_partitioner.layout();
-        for (uint32_t p = 0; p < r_layout.num_partitions; ++p) {
-          max_r_partition =
-              std::max(max_r_partition, r_layout.PartitionSize(p));
-        }
       }
       barrier.ArriveAndWait();
       if (!abort.IsSet()) {
-        // The per-worker scratch table is the join phase's build-side
-        // allocation. A failed worker publishes the abort and skips the
-        // join phase; the others drain or abandon the queue via the abort
-        // flag, and everyone meets at the trailing barrier below.
-        if (BuildAllocFailpoint()) {
-          abort.Set(InjectedAllocError("build"));
-        } else if (array) {
-          ArrayChunkScratch scratch(system, max_r_partition, partition_domain,
-                                    bits, node);
+        // A worker whose scratch allocation fails publishes the abort and
+        // skips the join phase; the others drain or abandon the queue via
+        // the abort flag, and everyone meets at the trailing barrier below.
+        const auto join = [&](auto scratch_type) {
+          auto scratch = CreateScratch<typename decltype(scratch_type)::type>(
+              system, r_partitioner.layout(), keys, node);
+          if (!scratch.ok()) {
+            abort.Set(scratch.status());
+            return;
+          }
           JoinChunkedPartitions(system, tid, node, queue, &slots,
                                 r_partitioner.layout(), s_partitioner.layout(),
-                                r_out.data(), s_out.data(), partition_domain,
-                                bits, config.build_unique, config.sink,
-                                &scratch, &stats[tid], &abort, profiler.get());
+                                r_out.data(), s_out.data(), keys,
+                                config.build_unique, config.sink,
+                                scratch->get(), &stats[tid], &abort,
+                                profiler.get());
+        };
+        if (array) {
+          join(std::type_identity<ArrayScratch>{});
         } else {
-          LinearChunkScratch scratch(system, max_r_partition, partition_domain,
-                                     bits, node);
-          JoinChunkedPartitions(system, tid, node, queue, &slots,
-                                r_partitioner.layout(), s_partitioner.layout(),
-                                r_out.data(), s_out.data(), partition_domain,
-                                bits, config.build_unique, config.sink,
-                                &scratch, &stats[tid], &abort, profiler.get());
+          join(std::type_identity<LinearScratch>{});
         }
       }
       // Flush the queue's per-run steal counters before the dispatch
@@ -371,8 +333,8 @@ class CprJoin final : public JoinAlgorithm {
   // checksum) exactly -- the checksum is order-independent.
   StatusOr<JoinResult> RunWaves(numa::NumaSystem* system,
                                 const JoinConfig& config, ConstTupleSpan build,
-                                ConstTupleSpan probe, uint64_t partition_domain,
-                                uint32_t bits, uint32_t wave_count) {
+                                ConstTupleSpan probe, const PartitionKeys& keys,
+                                uint32_t wave_count) {
     const int num_threads = config.num_threads;
     const bool array = id_ == Algorithm::kCPRA;
     const uint64_t wave_capacity =
@@ -391,7 +353,7 @@ class CprJoin final : public JoinAlgorithm {
                          "CPR S wave buffer"));
 
     partition::RadixOptions options;
-    options.fn = partition::RadixFn{0, bits};
+    options.fn = keys.Fn();
     options.use_swwcb = true;
     options.num_threads = num_threads;
     partition::ChunkedRadixPartitioner r_partitioner(
@@ -408,7 +370,6 @@ class CprJoin final : public JoinAlgorithm {
     thread::ShardedTaskQueue* queue =
         SelectJoinQueue(executor, *system, &fallback_queue);
     SkewBuildSlots slots;
-    uint64_t max_r_partition = 0;
     JoinAbort abort;
     auto profiler = obs::MakeJoinProfiler(num_threads);
     const int64_t start = NowNanos();
@@ -426,21 +387,7 @@ class CprJoin final : public JoinAlgorithm {
         r_partitioner.PartitionChunk(tid, node);
         barrier.ArriveAndWait();
       }
-      if (tid == 0) {
-        partition_end = NowNanos();
-        const auto& r_layout = r_partitioner.layout();
-        for (uint32_t p = 0; p < r_layout.num_partitions; ++p) {
-          max_r_partition =
-              std::max(max_r_partition, r_layout.PartitionSize(p));
-        }
-      }
-      // Unlike the single-shot path, the wave loop below has barriers, so a
-      // build-allocation failure must follow the check-before-barrier
-      // protocol: record it, arrive, and leave together.
-      if (BuildAllocFailpoint()) abort.Set(InjectedAllocError("build"));
-      barrier.ArriveAndWait();
-      if (abort.IsSet()) return;
-
+      if (tid == 0) partition_end = NowNanos();
       const auto wave_loop = [&](auto& scratch) {
         for (uint32_t w = 0; w < wave_count; ++w) {
           obs::ObsScope wave_scope("budget.wave", obs::SpanKind::kOther);
@@ -476,9 +423,9 @@ class CprJoin final : public JoinAlgorithm {
             JoinChunkedPartitions(system, tid, node, queue, &slots,
                                   r_partitioner.layout(),
                                   s_partitioner->layout(), r_out.data(),
-                                  s_wave.data(), partition_domain, bits,
-                                  config.build_unique, config.sink, &scratch,
-                                  &stats[tid], &abort, profiler.get());
+                                  s_wave.data(), keys, config.build_unique,
+                                  config.sink, &scratch, &stats[tid], &abort,
+                                  profiler.get());
           }
           // Wave-end barrier: all workers must be done with this wave's
           // buffers and queue before thread 0 reconfigures them; aborts are
@@ -487,15 +434,23 @@ class CprJoin final : public JoinAlgorithm {
           if (abort.IsSet()) return;
         }
       };
-      if (array) {
-        ArrayChunkScratch scratch(system, max_r_partition, partition_domain,
-                                  bits, node);
-        wave_loop(scratch);
-      } else {
-        LinearChunkScratch scratch(system, max_r_partition, partition_domain,
-                                   bits, node);
-        wave_loop(scratch);
-      }
+      // The scratch table lives across all waves. Unlike the single-shot
+      // path, the wave loop has barriers, so a build-allocation failure
+      // must follow the check-before-barrier protocol: record it, arrive,
+      // and leave together.
+      const auto run_waves = [&](auto scratch_type) {
+        auto scratch = CreateScratch<typename decltype(scratch_type)::type>(
+            system, r_partitioner.layout(), keys, node);
+        if (!scratch.ok()) abort.Set(scratch.status());
+        barrier.ArriveAndWait();
+        if (abort.IsSet()) return false;
+        wave_loop(**scratch);
+        return true;
+      };
+      const bool waves_ran = array
+                                 ? run_waves(std::type_identity<ArrayScratch>{})
+                                 : run_waves(std::type_identity<LinearScratch>{});
+      if (!waves_ran) return;
       // Every exit from wave_loop passes through the wave-end barrier, so
       // the team is synchronized and no worker touches the queue after it:
       // flush its per-run steal counters (the last seeded wave's) before

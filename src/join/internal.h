@@ -256,10 +256,6 @@ inline JoinResult ReduceStats(const ThreadStats* stats, int num_threads) {
   return result;
 }
 
-// Exclusive upper bound of the build key domain: `provided` when nonzero,
-// otherwise max key + 1 (scanned).
-uint64_t InferKeyDomain(ConstTupleSpan build, uint64_t provided);
-
 // Batches matches into a MatchChunk and flushes it to the sink's
 // ConsumeChunk fast path -- one virtual call per up-to-1024 matches instead
 // of one per match. Stack-allocated per probe task/fragment; the destructor
@@ -291,18 +287,44 @@ class MatchBuffer {
   MatchChunk chunk_;
 };
 
+// Passes only probe keys some build key could equal: inside [base, max]
+// and on the build keys' stride (KeyShape). The others would only miss, and
+// under the identity hash such a miss can scan a whole occupied cluster of
+// a linear probing table -- off-stride keys (i << 12) + 1 land right inside
+// the cluster of the dense stripped keys.
+class ProbeKeyFilter {
+ public:
+  explicit ProbeKeyFilter(const KeyShape& shape)
+      : base_(shape.base),
+        span_(shape.max - shape.base),
+        stride_mask_(
+            static_cast<uint32_t>((uint64_t{1} << shape.shift) - 1)) {}
+
+  MMJOIN_ALWAYS_INLINE bool operator()(uint32_t key) const {
+    const uint32_t offset = key - base_;  // wraps past span_ below base
+    return offset <= span_ && (offset & stride_mask_) == 0;
+  }
+
+ private:
+  uint32_t base_;
+  uint32_t span_;
+  uint32_t stride_mask_;
+};
+
 // Probes probe[begin, end) against `table` (anything exposing Probe and
 // ProbeUnique), accumulating into `local` and optionally feeding `sink`
-// (chunk-batched through a MatchBuffer). The unique/sink dispatch happens
-// once, outside the tight loops.
-template <typename Table>
-void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
-                uint64_t end, bool unique, MatchSink* sink, int tid,
-                ThreadStats* local) {
+// (chunk-batched through a MatchBuffer). Keys `may_match` rules out skip
+// the table. The unique/sink dispatch happens once, outside the tight
+// loops.
+template <typename Table, typename KeyFilter>
+void ProbeFiltered(const Table& table, KeyFilter may_match,
+                   const Tuple* probe, uint64_t begin, uint64_t end,
+                   bool unique, MatchSink* sink, int tid, ThreadStats* local) {
   if (unique) {
     if (sink == nullptr) {
       for (uint64_t i = begin; i < end; ++i) {
         const Tuple s = probe[i];
+        if (!may_match(s.key)) continue;
         table.ProbeUnique(s.key,
                           [&](Tuple r) { AccumulateMatch(local, r, s); });
       }
@@ -310,6 +332,7 @@ void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
       MatchBuffer buffer(sink, tid);
       for (uint64_t i = begin; i < end; ++i) {
         const Tuple s = probe[i];
+        if (!may_match(s.key)) continue;
         table.ProbeUnique(s.key, [&](Tuple r) {
           AccumulateMatch(local, r, s);
           buffer.Add(r, s);
@@ -320,18 +343,45 @@ void ProbeRange(const Table& table, const Tuple* probe, uint64_t begin,
     if (sink == nullptr) {
       for (uint64_t i = begin; i < end; ++i) {
         const Tuple s = probe[i];
+        if (!may_match(s.key)) continue;
         table.Probe(s.key, [&](Tuple r) { AccumulateMatch(local, r, s); });
       }
     } else {
       MatchBuffer buffer(sink, tid);
       for (uint64_t i = begin; i < end; ++i) {
         const Tuple s = probe[i];
+        if (!may_match(s.key)) continue;
         table.Probe(s.key, [&](Tuple r) {
           AccumulateMatch(local, r, s);
           buffer.Add(r, s);
         });
       }
     }
+  }
+}
+
+// ProbeFiltered with the filter `shape` calls for. Dense keys from 0 (the
+// paper's workloads) probe every key unfiltered, and through the table's
+// IdentityView() where it has one (the tables that strip keys with the
+// shape alone: NOP's, CHTJ's, the arrays), exactly as before the key shape
+// existed: the filter and the no-op shifts would only add instructions to
+// the probe loops.
+template <typename Table>
+void ProbeRange(const Table& table, const KeyShape& shape, const Tuple* probe,
+                uint64_t begin, uint64_t end, bool unique, MatchSink* sink,
+                int tid, ThreadStats* local) {
+  if (shape.base == 0 && shape.shift == 0) {
+    const auto all_keys = [](uint32_t) { return true; };
+    if constexpr (requires { table.IdentityView(); }) {
+      ProbeFiltered(table.IdentityView(), all_keys, probe, begin, end, unique,
+                    sink, tid, local);
+    } else {
+      ProbeFiltered(table, all_keys, probe, begin, end, unique, sink, tid,
+                    local);
+    }
+  } else {
+    ProbeFiltered(table, ProbeKeyFilter(shape), probe, begin, end, unique,
+                  sink, tid, local);
   }
 }
 

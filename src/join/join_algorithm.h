@@ -24,19 +24,34 @@ class JoinAlgorithm {
 
   virtual Algorithm id() const = 0;
 
-  // Executes the join. `key_domain` is the exclusive upper bound of the
-  // build key domain (required by the array joins; pass 0 when unknown --
-  // algorithms that need it will scan for the maximum).
+  // Executes the join. First scans the build keys for their KeyShape (on
+  // the join's executor) and rejects a build key equal to kEmptyKey with
+  // InvalidArgument -- the hash tables use it as their empty-slot marker.
+  // The algorithm then partitions, hashes and indexes on the stripped key,
+  // so its plan depends only on what the scan observed; the shape is
+  // returned in JoinResult::key_shape.
   //
   // Recoverable failures -- allocation failure (real or via the alloc.*
   // failpoints), invalid configuration, a poisoned executor -- come back as
   // a non-OK Status with all phase buffers released; invariant violations
   // still abort. A non-OK return leaves `system` without leaked regions.
-  virtual StatusOr<JoinResult> Run(numa::NumaSystem* system,
-                                   const JoinConfig& config,
-                                   ConstTupleSpan build, ConstTupleSpan probe,
-                                   uint64_t key_domain) = 0;
+  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
+                           ConstTupleSpan build, ConstTupleSpan probe);
+
+ protected:
+  // The algorithm proper, given the shape of `build`.
+  virtual StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                                       const JoinConfig& config,
+                                       ConstTupleSpan build,
+                                       ConstTupleSpan probe,
+                                       const KeyShape& shape) = 0;
 };
+
+// One pass over the build keys: minimum, maximum and the low bits they all
+// share (see KeyShape). Large inputs are scanned in parallel on the
+// config's executor, small ones inline on the caller.
+StatusOr<KeyShape> ScanKeyShape(const JoinConfig& config,
+                                ConstTupleSpan build);
 
 std::unique_ptr<JoinAlgorithm> CreateJoin(Algorithm algorithm);
 

@@ -52,7 +52,9 @@ struct AlgorithmInfo {
   const char* name;
   JoinClass join_class;
   const char* description;
-  bool requires_dense_keys;  // array joins need a bounded key domain
+  // Array joins: unique build keys from a stripped range small enough to
+  // allocate one cell per value.
+  bool requires_dense_keys;
 };
 
 const AlgorithmInfo& InfoOf(Algorithm algorithm);
@@ -60,11 +62,36 @@ const char* NameOf(Algorithm algorithm);
 std::optional<Algorithm> AlgorithmFromName(std::string_view name);
 const std::vector<Algorithm>& AllAlgorithms();
 
+// What one scan of the build keys observed (join::ScanKeyShape). Every
+// build key k lies in [base, max] and shares its low `shift` bits with
+// base, so the *stripped key* (k - base) >> shift is a dense index when the
+// keys form an arithmetic progression (dense, strided or offset keys).
+// Partition functions and hash functions take their bits from k >> shift
+// and array tables index by the stripped key; matches are still decided on
+// the full key. Dense keys from 0 have base == 0 and shift == 0.
+struct KeyShape {
+  uint32_t base = 0;   // minimum build key (0 for an empty build)
+  uint32_t max = 0;    // maximum build key
+  uint32_t shift = 0;  // ctz(OR_i (k_i ^ k_0)); 0 for < 2 distinct keys
+
+  // Cells an array indexed by the stripped key needs: the stripped
+  // maximum + 1 (at most 2^32).
+  uint64_t stripped_domain() const {
+    return (static_cast<uint64_t>(max - base) >> shift) + 1;
+  }
+  // kEmptyKey is the largest uint32_t, so a build holding it has it as max.
+  bool has_sentinel() const { return max == kEmptyKey; }
+};
+
 // Per-phase wall-clock breakdown. Partition-based joins report partition +
 // join (build+probe merged into `probe_ns` is *not* done -- build and probe
 // are timed separately where the algorithm distinguishes them; MWAY maps
 // sort to `build_ns` and merge-join to `probe_ns`).
 struct PhaseTimes {
+  // The build-key shape scan before the join. Like the untimed allocation
+  // of working memory, it is not part of total_ns: a database keeps a
+  // column's minimum and maximum in its statistics.
+  int64_t shape_ns = 0;
   int64_t partition_ns = 0;
   int64_t build_ns = 0;
   int64_t probe_ns = 0;
@@ -78,6 +105,7 @@ struct JoinResult {
   uint64_t matches = 0;
   uint64_t checksum = 0;
   PhaseTimes times;
+  KeyShape key_shape;
   // Whitebox per-phase breakdown (per-thread min/max/mean wall clock plus
   // hardware-counter deltas). Populated only while observability is enabled
   // (obs::Enabled()); disabled runs pay nothing and leave this empty.

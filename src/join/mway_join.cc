@@ -11,6 +11,7 @@
 // 3. Merge-join each sorted co-partition pair independently.
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -84,15 +85,19 @@ class MwayJoin final : public JoinAlgorithm {
  public:
   Algorithm id() const override { return Algorithm::kMWAY; }
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
+  StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                               const JoinConfig& config, ConstTupleSpan build,
+                               ConstTupleSpan probe,
+                               const KeyShape& shape) override {
     const int num_threads = config.num_threads;
 
-    const uint64_t domain = InferKeyDomain(build, key_domain);
+    // Range partitions split on the highest bits in which build keys differ
+    // (bits above them are common to all keys, e.g. an offset's), so
+    // offset keys spread like keys from 0.
     const uint32_t bits =
         FloorLog2(NextPowerOfTwo(static_cast<uint64_t>(num_threads)));
-    const uint32_t domain_bits = CeilLog2(std::max<uint64_t>(domain, 2));
+    const uint32_t domain_bits = std::max<uint32_t>(
+        static_cast<uint32_t>(std::bit_width(shape.base ^ shape.max)), 1);
     const uint32_t shift = domain_bits > bits ? domain_bits - bits : 0;
     const partition::RadixFn fn{shift, bits};
     const uint32_t num_partitions = fn.num_partitions();

@@ -1,8 +1,8 @@
 // NOP and NOPA (paper Sections 3.2 and 5.2).
 //
 // No-partitioning joins build one global hash table concurrently (NOP: the
-// lock-free CAS linear probing table of Lang et al.; NOPA: a plain array for
-// dense key domains), then every thread probes its chunk of S. The table is
+// lock-free CAS linear probing table of Lang et al.; NOPA: a plain array
+// over the stripped key range), then every thread probes its chunk of S. The table is
 // interleaved page-wise over all NUMA nodes for balanced memory bandwidth.
 
 #include <memory>
@@ -23,16 +23,20 @@ namespace {
 // TableOps adapts the two table flavours to one code path. TableBytes is
 // the check-and-reject budget estimate: NOP has one indivisible global
 // table, so there is no graceful degradation -- either the table fits the
-// budget or the join reports ResourceExhausted up front.
+// budget or the join reports ResourceExhausted up front. Both tables take
+// their bits from the stripped key (KeyShape), so strided keys fill them
+// like dense ones.
 struct LinearOps {
-  using Table = hash::LinearProbingTable<hash::IdentityHash>;
-  static std::unique_ptr<Table> Make(numa::NumaSystem* system,
-                                     ConstTupleSpan build,
-                                     uint64_t key_domain) {
+  using Table = hash::LinearProbingTable<hash::RadixShiftHash>;
+  static StatusOr<std::unique_ptr<Table>> Make(numa::NumaSystem* system,
+                                               ConstTupleSpan build,
+                                               const KeyShape& shape) {
     return std::make_unique<Table>(system, build.size(),
-                                   numa::Placement::kInterleavedPages);
+                                   numa::Placement::kInterleavedPages,
+                                   /*home_node=*/0,
+                                   hash::RadixShiftHash{shape.shift});
   }
-  static uint64_t TableBytes(ConstTupleSpan build, uint64_t key_domain) {
+  static uint64_t TableBytes(ConstTupleSpan build, const KeyShape& shape) {
     return static_cast<uint64_t>(
         partition::kLinearSpace.bytes_per_tuple *
         static_cast<double>(build.size()));
@@ -41,18 +45,23 @@ struct LinearOps {
 
 struct ArrayOps {
   using Table = hash::ArrayTable;
-  static std::unique_ptr<Table> Make(numa::NumaSystem* system,
-                                     ConstTupleSpan build,
-                                     uint64_t key_domain) {
-    return std::make_unique<Table>(system,
-                                   InferKeyDomain(build, key_domain),
-                                   /*key_shift=*/0,
-                                   numa::Placement::kInterleavedPages);
+  static StatusOr<std::unique_ptr<Table>> Make(numa::NumaSystem* system,
+                                               ConstTupleSpan build,
+                                               const KeyShape& shape) {
+    auto table = Table::TryCreate(
+        system, shape.stripped_domain(),
+        Table::KeyMap{shape.base, shape.shift, 0},
+        numa::Placement::kInterleavedPages);
+    if (!table.ok()) {
+      return ResourceExhaustedError("NOPA array table: " +
+                                    table.status().message());
+    }
+    return table;
   }
-  static uint64_t TableBytes(ConstTupleSpan build, uint64_t key_domain) {
+  static uint64_t TableBytes(ConstTupleSpan build, const KeyShape& shape) {
     return static_cast<uint64_t>(
         partition::kArraySpace.bytes_per_tuple *
-        static_cast<double>(InferKeyDomain(build, key_domain)));
+        static_cast<double>(shape.stripped_domain()));
   }
 };
 
@@ -63,9 +72,10 @@ class NopFamilyJoin final : public JoinAlgorithm {
 
   Algorithm id() const override { return id_; }
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
+  StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                               const JoinConfig& config, ConstTupleSpan build,
+                               ConstTupleSpan probe,
+                               const KeyShape& shape) override {
     const int num_threads = config.num_threads;
 
     // NOP has no partition phase; the partition failpoint covers its
@@ -80,13 +90,13 @@ class NopFamilyJoin final : public JoinAlgorithm {
     MMJOIN_ASSIGN_OR_RETURN(
         mem::BudgetReservation budget_hold,
         mem::BudgetReservation::Acquire(config.budget,
-                                        Ops::TableBytes(build, key_domain),
+                                        Ops::TableBytes(build, shape),
                                         "NOP global hash table"));
 
     // Working memory is allocated and prefaulted before timing starts: the
     // paper assumes a buffer manager has faulted pages in already
     // (Section 5.1, "Memory Allocation Locality").
-    auto table = Ops::Make(system, build, key_domain);
+    MMJOIN_ASSIGN_OR_RETURN(auto table, Ops::Make(system, build, shape));
     const int64_t start = NowNanos();
 
     std::vector<ThreadStats> stats(num_threads);
@@ -131,8 +141,9 @@ class NopFamilyJoin final : public JoinAlgorithm {
               thread::ChunkRange(probe.size(), num_threads, tid);
           system->CountRead(node, probe.data() + s_range.begin,
                             s_range.size() * sizeof(Tuple));
-          ProbeRange(*table, probe.data(), s_range.begin, s_range.end,
-                     config.build_unique, sink, tid, &stats[tid]);
+          ProbeRange(*table, shape, probe.data(), s_range.begin,
+                     s_range.end, config.build_unique, sink, tid,
+                     &stats[tid]);
           // Random reads from the interleaved table: one line per probe.
           system->CountRead(node, table->raw_data(),
                             s_range.size() * kCacheLineSize);

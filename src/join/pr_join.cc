@@ -16,11 +16,9 @@
 #include <memory>
 #include <vector>
 
-#include "hash/array_table.h"
-#include "hash/chained_table.h"
-#include "hash/linear_probing_table.h"
 #include "join/internal.h"
 #include "join/join_algorithm.h"
+#include "join/partition_tables.h"
 #include "numa/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -101,74 +99,6 @@ FinalLayout FromSinglePass(const partition::PartitionLayout& layout) {
   return final;
 }
 
-// Scratch-table adapters.
-struct ChainedScratch {
-  using Table = hash::ChainedHashTable<hash::RadixShiftHash>;
-  std::unique_ptr<Table> table;
-  ChainedScratch(numa::NumaSystem* system, uint64_t max_tuples,
-                 uint64_t partition_domain, uint32_t total_bits, int node)
-      : table(std::make_unique<Table>(
-            system, std::max<uint64_t>(max_tuples, 1),
-            numa::Placement::kLocal, node,
-            hash::RadixShiftHash{total_bits})) {}
-  void Prepare(uint64_t build_size) { table->Reset(build_size); }
-  void Insert(Tuple t) { table->InsertSerial(t); }
-  template <typename Emit>
-  void Probe(uint32_t key, Emit&& emit) const {
-    table->Probe(key, emit);
-  }
-  template <typename Emit>
-  void ProbeUnique(uint32_t key, Emit&& emit) const {
-    table->ProbeUnique(key, emit);
-  }
-};
-
-struct LinearScratch {
-  using Table = hash::LinearProbingTable<hash::RadixShiftHash>;
-  std::unique_ptr<Table> table;
-  LinearScratch(numa::NumaSystem* system, uint64_t max_tuples,
-                uint64_t partition_domain, uint32_t total_bits, int node)
-      : table(std::make_unique<Table>(
-            system, std::max<uint64_t>(max_tuples, 1),
-            numa::Placement::kLocal, node,
-            hash::RadixShiftHash{total_bits})) {}
-  void Prepare(uint64_t build_size) { table->Reset(build_size); }
-  void Insert(Tuple t) { table->InsertSerial(t); }
-  template <typename Emit>
-  void Probe(uint32_t key, Emit&& emit) const {
-    table->Probe(key, emit);
-  }
-  template <typename Emit>
-  void ProbeUnique(uint32_t key, Emit&& emit) const {
-    table->ProbeUnique(key, emit);
-  }
-};
-
-struct ArrayScratch {
-  std::unique_ptr<hash::ArrayTable> table;
-  uint64_t partition_domain;
-  uint32_t total_bits;
-  ArrayScratch(numa::NumaSystem* system, uint64_t max_tuples,
-               uint64_t partition_domain_in, uint32_t total_bits_in, int node)
-      : table(std::make_unique<hash::ArrayTable>(
-            system, std::max<uint64_t>(partition_domain_in, 1), total_bits_in,
-            numa::Placement::kLocal, node)),
-        partition_domain(std::max<uint64_t>(partition_domain_in, 1)),
-        total_bits(total_bits_in) {}
-  void Prepare(uint64_t build_size) {
-    table->Reset(partition_domain, total_bits);
-  }
-  void Insert(Tuple t) { table->InsertSerial(t); }
-  template <typename Emit>
-  void Probe(uint32_t key, Emit&& emit) const {
-    table->Probe(key, emit);
-  }
-  template <typename Emit>
-  void ProbeUnique(uint32_t key, Emit&& emit) const {
-    table->ProbeUnique(key, emit);
-  }
-};
-
 // Joins co-partitions pulled from `queue` with a per-thread scratch table.
 // Runs after the last barrier of the dispatch, so a worker that hits a
 // failure (or sees one via `abort`) may simply stop pulling tasks.
@@ -182,17 +112,21 @@ void JoinPartitions(numa::NumaSystem* system, int tid, int node,
                     int num_threads, thread::ShardedTaskQueue* queue,
                     SkewBuildSlots* slots, const FinalLayout& r_layout,
                     const FinalLayout& s_layout, const Tuple* r_data,
-                    const Tuple* s_data, uint64_t partition_domain,
-                    uint32_t total_bits, bool build_unique, MatchSink* sink,
-                    ThreadStats* local, JoinAbort* abort,
-                    obs::JoinPhaseProfiler* profiler) {
+                    const Tuple* s_data, const PartitionKeys& keys,
+                    bool build_unique, MatchSink* sink, ThreadStats* local,
+                    JoinAbort* abort, obs::JoinPhaseProfiler* profiler) {
   // The per-worker scratch table is the join phase's build-side allocation.
   if (BuildAllocFailpoint()) {
     abort->Set(InjectedAllocError("build"));
     return;
   }
-  Scratch scratch(system, r_layout.MaxPartitionSize(), partition_domain,
-                  total_bits, node);
+  auto created =
+      Scratch::Create(system, r_layout.MaxPartitionSize(), keys, node);
+  if (!created.ok()) {
+    abort->Set(created.status());
+    return;
+  }
+  Scratch& scratch = **created;
   thread::JoinTask task;
   int stolen_from = -1;
   while (queue->Pop(node, &task, &stolen_from)) {
@@ -213,16 +147,20 @@ void JoinPartitions(numa::NumaSystem* system, int tid, int node,
         build_table = slots->GetOrBuild<Scratch>(
             slot,
             [&] {
-              auto table = std::make_unique<Scratch>(
-                  system, r_size, partition_domain, total_bits, node);
-              table->Prepare(r_size);
+              auto table = Scratch::Create(system, r_size, keys, node);
+              if (!table.ok()) {
+                abort->Set(table.status());
+                return std::unique_ptr<Scratch>();
+              }
+              (*table)->Prepare(r_size);
               system->CountRead(node, r_part, r_size * sizeof(Tuple));
               for (uint64_t i = 0; i < r_size; ++i) {
-                table->Insert(r_part[i]);
+                (*table)->Insert(r_part[i]);
               }
-              return table;
+              return *std::move(table);
             },
             &built_here);
+        if (build_table == nullptr) return;
       } else {
         scratch.Prepare(r_size);
         system->CountRead(node, r_part, r_size * sizeof(Tuple));
@@ -249,8 +187,8 @@ void JoinPartitions(numa::NumaSystem* system, int tid, int node,
       if (built_here) remote_bytes += r_size * sizeof(Tuple);
       queue->AddStealReadBytes(remote_bytes);
     }
-    ProbeRange(*build_table, s_part, slice_begin, slice_end, build_unique,
-               sink, tid, local);
+    ProbeRange(*build_table, keys.shape, s_part, slice_begin, slice_end,
+               build_unique, sink, tid, local);
   }
 }
 
@@ -260,9 +198,10 @@ class PrJoin final : public JoinAlgorithm {
 
   Algorithm id() const override { return id_; }
 
-  StatusOr<JoinResult> Run(numa::NumaSystem* system, const JoinConfig& config,
-                           ConstTupleSpan build, ConstTupleSpan probe,
-                           uint64_t key_domain) override {
+  StatusOr<JoinResult> Execute(numa::NumaSystem* system,
+                               const JoinConfig& config, ConstTupleSpan build,
+                               ConstTupleSpan probe,
+                               const KeyShape& shape) override {
     const int num_threads = config.num_threads;
 
     uint32_t total_bits = config.radix_bits;
@@ -275,10 +214,6 @@ class PrJoin final : public JoinAlgorithm {
     total_bits = std::min<uint32_t>(
         total_bits, std::max<uint32_t>(
                         CeilLog2(std::max<uint64_t>(build.size(), 2)), 1));
-
-    const uint64_t domain = spec_.table == TableKind::kArray
-                                ? InferKeyDomain(build, key_domain)
-                                : (key_domain != 0 ? key_domain : 0);
 
     bool two_pass = spec_.two_pass;
     if (config.num_passes == 1) two_pass = false;
@@ -307,7 +242,7 @@ class PrJoin final : public JoinAlgorithm {
       plan_in.scratch_total_bytes =
           spec_.table == TableKind::kArray
               ? partition::kArraySpace.bytes_per_tuple *
-                    static_cast<double>(std::max<uint64_t>(domain, 1))
+                    static_cast<double>(shape.stripped_domain())
               : SpaceOf(spec_.table).bytes_per_tuple *
                     static_cast<double>(build.size());
       plan_in.fixed_overhead_bytes =
@@ -360,26 +295,24 @@ class PrJoin final : public JoinAlgorithm {
     }
     if (wave_count > 1 && probe.empty()) wave_count = 1;
 
+    const PartitionKeys keys{shape, total_bits};
     if (wave_count > 1) {
       mem::CountBudgetWave();
       MMJOIN_LOG(kWarn, "budget.wave")
           .Field("algo", NameOf(id_))
           .Field("waves", wave_count)
           .Field("bits", total_bits);
-      return RunOnePassWaves(system, config, build, probe, domain, total_bits,
-                             wave_count);
+      return RunOnePassWaves(system, config, build, probe, keys, wave_count);
     }
-    return two_pass ? RunTwoPass(system, config, build, probe, domain,
-                                 total_bits)
-                    : RunOnePass(system, config, build, probe, domain,
-                                 total_bits);
+    return two_pass ? RunTwoPass(system, config, build, probe, keys)
+                    : RunOnePass(system, config, build, probe, keys);
   }
 
  private:
   StatusOr<JoinResult> RunOnePass(numa::NumaSystem* system,
                                   const JoinConfig& config,
                                   ConstTupleSpan build, ConstTupleSpan probe,
-                                  uint64_t domain, uint32_t total_bits) {
+                                  const PartitionKeys& keys) {
     const int num_threads = config.num_threads;
 
     if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
@@ -395,7 +328,7 @@ class PrJoin final : public JoinAlgorithm {
                          "PR S partition buffer"));
 
     partition::RadixOptions options;
-    options.fn = partition::RadixFn{0, total_bits};
+    options.fn = keys.Fn();
     options.use_swwcb = spec_.use_swwcb;
     options.num_threads = num_threads;
     partition::GlobalRadixPartitioner r_partitioner(
@@ -452,7 +385,7 @@ class PrJoin final : public JoinAlgorithm {
       barrier.ArriveAndWait();
       if (!abort.IsSet()) {
         RunJoinPhase(system, tid, node, num_threads, queue, &slots, r_layout,
-                     s_layout, r_out.data(), s_out.data(), domain, total_bits,
+                     s_layout, r_out.data(), s_out.data(), keys,
                      config.build_unique, config.sink, &stats[tid], &abort,
                      profiler.get());
       }
@@ -486,8 +419,8 @@ class PrJoin final : public JoinAlgorithm {
   StatusOr<JoinResult> RunOnePassWaves(numa::NumaSystem* system,
                                        const JoinConfig& config,
                                        ConstTupleSpan build,
-                                       ConstTupleSpan probe, uint64_t domain,
-                                       uint32_t total_bits,
+                                       ConstTupleSpan probe,
+                                       const PartitionKeys& keys,
                                        uint32_t wave_count) {
     const int num_threads = config.num_threads;
     const uint64_t wave_capacity =
@@ -506,7 +439,7 @@ class PrJoin final : public JoinAlgorithm {
                          "PR S wave buffer"));
 
     partition::RadixOptions options;
-    options.fn = partition::RadixFn{0, total_bits};
+    options.fn = keys.Fn();
     options.use_swwcb = spec_.use_swwcb;
     options.num_threads = num_threads;
     partition::GlobalRadixPartitioner r_partitioner(
@@ -586,9 +519,9 @@ class PrJoin final : public JoinAlgorithm {
 
         if (!abort.IsSet()) {
           RunJoinPhase(system, tid, node, num_threads, queue, &slots,
-                       r_layout, s_layout, r_out.data(), s_wave.data(),
-                       domain, total_bits, config.build_unique, config.sink,
-                       &stats[tid], &abort, profiler.get());
+                       r_layout, s_layout, r_out.data(), s_wave.data(), keys,
+                       config.build_unique, config.sink, &stats[tid], &abort,
+                       profiler.get());
         }
         // Wave-end barrier: every worker must be done with this wave's
         // buffers and queue before thread 0 reconfigures them -- and any
@@ -619,10 +552,10 @@ class PrJoin final : public JoinAlgorithm {
   StatusOr<JoinResult> RunTwoPass(numa::NumaSystem* system,
                                   const JoinConfig& config,
                                   ConstTupleSpan build, ConstTupleSpan probe,
-                                  uint64_t domain, uint32_t total_bits) {
+                                  const PartitionKeys& keys) {
     const int num_threads = config.num_threads;
-    const uint32_t bits1 = (total_bits + 1) / 2;
-    const uint32_t bits2 = total_bits - bits1;
+    const uint32_t bits1 = (keys.radix_bits + 1) / 2;
+    const uint32_t bits2 = keys.radix_bits - bits1;
     const uint32_t P1 = uint32_t{1} << bits1;
     const uint32_t P2 = uint32_t{1} << bits2;
 
@@ -649,7 +582,7 @@ class PrJoin final : public JoinAlgorithm {
                          "PR S pass-2 buffer"));
 
     partition::RadixOptions options;
-    options.fn = partition::RadixFn{0, bits1};
+    options.fn = partition::RadixFn{keys.shape.shift, bits1};
     options.use_swwcb = spec_.use_swwcb;
     options.num_threads = num_threads;
     partition::GlobalRadixPartitioner r_partitioner(
@@ -672,7 +605,7 @@ class PrJoin final : public JoinAlgorithm {
 
     // Second-pass task counter: pass-1 partitions are tasks.
     std::atomic<uint32_t> next_sub{0};
-    const partition::RadixFn fn2{bits1, bits2};
+    const partition::RadixFn fn2{keys.shape.shift + bits1, bits2};
     JoinAbort abort;
     auto profiler = obs::MakeJoinProfiler(num_threads);
     const int64_t start = NowNanos();
@@ -733,7 +666,7 @@ class PrJoin final : public JoinAlgorithm {
       barrier.ArriveAndWait();
       if (!abort.IsSet()) {
         RunJoinPhase(system, tid, node, num_threads, queue, &slots, r_layout,
-                     s_layout, r_out.data(), s_out.data(), domain, total_bits,
+                     s_layout, r_out.data(), s_out.data(), keys,
                      config.build_unique, config.sink, &stats[tid], &abort,
                      profiler.get());
       }
@@ -824,33 +757,28 @@ class PrJoin final : public JoinAlgorithm {
                     int num_threads, thread::ShardedTaskQueue* queue,
                     SkewBuildSlots* slots, const FinalLayout& r_layout,
                     const FinalLayout& s_layout, const Tuple* r_data,
-                    const Tuple* s_data, uint64_t domain, uint32_t total_bits,
+                    const Tuple* s_data, const PartitionKeys& keys,
                     bool build_unique, MatchSink* sink, ThreadStats* local,
                     JoinAbort* abort,
                     obs::JoinPhaseProfiler* profiler) const {
-    const uint64_t partition_domain =
-        domain == 0 ? 0 : CeilDiv(domain, uint64_t{1} << total_bits);
     switch (spec_.table) {
       case TableKind::kChained:
         JoinPartitions<ChainedScratch>(system, tid, node, num_threads, queue,
                                        slots, r_layout, s_layout, r_data,
-                                       s_data, partition_domain, total_bits,
-                                       build_unique, sink, local, abort,
-                                       profiler);
+                                       s_data, keys, build_unique, sink, local,
+                                       abort, profiler);
         break;
       case TableKind::kLinear:
         JoinPartitions<LinearScratch>(system, tid, node, num_threads, queue,
                                       slots, r_layout, s_layout, r_data,
-                                      s_data, partition_domain, total_bits,
-                                      build_unique, sink, local, abort,
-                                      profiler);
+                                      s_data, keys, build_unique, sink, local,
+                                      abort, profiler);
         break;
       case TableKind::kArray:
         JoinPartitions<ArrayScratch>(system, tid, node, num_threads, queue,
                                      slots, r_layout, s_layout, r_data,
-                                     s_data, partition_domain, total_bits,
-                                     build_unique, sink, local, abort,
-                                     profiler);
+                                     s_data, keys, build_unique, sink, local,
+                                     abort, profiler);
         break;
     }
   }

@@ -129,11 +129,9 @@ StatusOr<JoinResult> RunJoin(Algorithm algorithm, numa::NumaSystem* system,
       mem::BudgetTracker tracker(*config.mem_budget_bytes);
       JoinConfig budgeted = config;
       budgeted.budget = &tracker;
-      return join->Run(system, budgeted, build.cspan(), probe.cspan(),
-                       build.key_domain());
+      return join->Run(system, budgeted, build.cspan(), probe.cspan());
     }
-    return join->Run(system, config, build.cspan(), probe.cspan(),
-                     build.key_domain());
+    return join->Run(system, config, build.cspan(), probe.cspan());
   }();
   if (result.ok()) {
     // End-to-end latency distribution; one sample per successful run, so

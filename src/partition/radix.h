@@ -22,14 +22,18 @@
 
 namespace mmjoin::partition {
 
-// Radix function: partition(key) = (key >> shift) & (2^bits - 1).
+// Radix function: partition(key) = (key >> shift) & (2^bits - 1). The
+// joins start `shift` at the low bits every build key shares
+// (join::KeyShape::shift), so strided keys spread like dense ones. Shifts
+// of 32 and more are defined and select partition 0.
 struct RadixFn {
   uint32_t shift = 0;
   uint32_t bits = 0;
 
   uint32_t num_partitions() const { return uint32_t{1} << bits; }
   MMJOIN_ALWAYS_INLINE uint32_t operator()(uint32_t key) const {
-    return (key >> shift) & ((uint32_t{1} << bits) - 1);
+    return static_cast<uint32_t>(uint64_t{key} >> shift) &
+           ((uint32_t{1} << bits) - 1);
   }
 };
 

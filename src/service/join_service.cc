@@ -293,7 +293,9 @@ void JoinService::RunJob(int lane_index, Job* job) {
       obs::MetricsRegistry::Get().SnapshotMap(), &steals_before);
   job->status = OkStatus();
   obs::MetricsRegistry::Get().AddCounter("service.jobs_completed", 1);
-  MMJOIN_LOG(kInfo, "service.complete")
+  // Successful jobs log at debug: at service rates an info line per job is
+  // a formatting and write cost on every job. Failures stay at info.
+  MMJOIN_LOG(kDebug, "service.complete")
       .Field("job", job->id)
       .Field("tenant", job->spec.tenant)
       .Field("lane", lane_index)

@@ -9,6 +9,7 @@
 namespace mmjoin::sort {
 namespace {
 
+// Head of an exhausted run: sorts after (or ties with) every value.
 constexpr uint64_t kSentinel = ~uint64_t{0};
 constexpr uint64_t kSignBias = uint64_t{1} << 63;
 
@@ -41,8 +42,6 @@ class LoserTree {
     }
     winner_ = winners[1];
   }
-
-  bool Done() const { return Key(winner_) == kSentinel; }
 
   uint64_t Pop() {
     const uint64_t value = Key(winner_);
@@ -104,9 +103,13 @@ void MultiwayMerge(std::span<const SortedRun> runs, uint64_t* out) {
     return;
   }
 
+  // Pop exactly as many values as the runs hold: ~0 is a legal value too,
+  // so the exhausted-run marker cannot end the merge. Once only ~0 values
+  // remain, a marker may win a pop instead of a real ~0 -- same value.
+  std::size_t total = 0;
+  for (const SortedRun& run : runs) total += run.size;
   LoserTree tree(runs);
-  std::size_t io = 0;
-  while (!tree.Done()) out[io++] = tree.Pop();
+  for (std::size_t io = 0; io < total; ++io) out[io] = tree.Pop();
 }
 
 }  // namespace mmjoin::sort

@@ -197,7 +197,6 @@ StatusOr<Q19Result> TryRunQ19(numa::NumaSystem* system,
   exec::HashJoinProbe::Spec join_spec;
   join_spec.algorithm = algorithm;
   join_spec.build = ConstTupleSpan(part.p_partkey(), part.num_tuples());
-  join_spec.key_domain = part.num_tuples();
   exec::HashJoinProbe join_probe(join_spec);
   Q19PostFilter post_filter(lineitem, part);
   RevenueAggregate aggregate(lineitem);

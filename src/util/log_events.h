@@ -27,6 +27,7 @@
   X("failpoint.unknown_name")         \
   X("joiner.invalid_options")         \
   X("join.failed")                    \
+  X("join.key_shape")                 \
   X("stats_server.start")             \
   X("stats_server.stop")              \
   X("metrics.sigusr1_dump")           \

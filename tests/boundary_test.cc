@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/joiner.h"
@@ -12,6 +13,8 @@
 #include "join/reference.h"
 #include "numa/system.h"
 #include "thread/thread_team.h"
+#include "util/status.h"
+#include "workload/generator.h"
 #include "workload/relation.h"
 
 namespace mmjoin {
@@ -59,6 +62,123 @@ TEST(Boundary, MaxLegalKeysJoinEverywhere) {
   }
 }
 
+// kEmptyKey is the hash tables' empty-slot marker, so a build key equal to
+// it is outside the input contract: every algorithm rejects it before
+// touching a table (release NOP, PRL and CPRL used to drop its matches).
+// Probe keys may take any value.
+TEST(Boundary, SentinelBuildKeyIsRejectedEverywhere) {
+  workload::Relation build(System(), 4);
+  build.data()[0] = Tuple{1, 10};
+  build.data()[1] = Tuple{kEmptyKey, 20};
+  build.data()[2] = Tuple{2, 30};
+  build.data()[3] = Tuple{3, 40};
+  workload::Relation probe(System(), 2);
+  probe.data()[0] = Tuple{kEmptyKey, 1};
+  probe.data()[1] = Tuple{1, 2};
+
+  join::JoinConfig config;
+  config.num_threads = 2;
+  for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+    const auto via_run_join =
+        join::RunJoin(algorithm, System(), config, build, probe);
+    ASSERT_FALSE(via_run_join.ok()) << join::NameOf(algorithm);
+    EXPECT_EQ(via_run_join.status().code(), StatusCode::kInvalidArgument)
+        << join::NameOf(algorithm);
+    EXPECT_NE(via_run_join.status().message().find("0xFFFFFFFF"),
+              std::string::npos)
+        << via_run_join.status().ToString();
+
+    const auto direct = join::CreateJoin(algorithm)->Run(
+        System(), config, build.cspan(), probe.cspan());
+    EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument)
+        << join::NameOf(algorithm);
+  }
+
+  // Only the build side is constrained.
+  workload::Relation clean(System(), 2);
+  clean.data()[0] = Tuple{1, 10};
+  clean.data()[1] = Tuple{2, 30};
+  for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+    const auto result =
+        join::RunJoin(algorithm, System(), config, clean, probe);
+    ASSERT_TRUE(result.ok()) << join::NameOf(algorithm) << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(result->matches, 1u) << join::NameOf(algorithm);
+  }
+}
+
+// Array tables are sized from the observed key range, never from the
+// relation's declared key domain: a domain declared too small must neither
+// write out of bounds nor lose matches.
+TEST(Boundary, ArrayJoinsIgnoreAnUndersizedDeclaredDomain) {
+  workload::Relation build =
+      workload::MakeDenseBuild(System(), 4096, /*seed=*/11).value();
+  build.set_key_domain(16);
+  const workload::Relation probe =
+      workload::MakeProbeFromBuild(System(), 16384, build, /*seed=*/12)
+          .value();
+  const join::JoinResult expected =
+      join::ReferenceJoin(build.cspan(), probe.cspan());
+
+  join::JoinConfig config;
+  config.num_threads = 4;
+  for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+    const auto result =
+        join::RunJoin(algorithm, System(), config, build, probe);
+    ASSERT_TRUE(result.ok()) << join::NameOf(algorithm) << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(result->matches, expected.matches) << join::NameOf(algorithm);
+    EXPECT_EQ(result->checksum, expected.checksum)
+        << join::NameOf(algorithm);
+    EXPECT_EQ(result->key_shape.stripped_domain(), 4096u)
+        << join::NameOf(algorithm);
+  }
+}
+
+// High-bits-only keys 2^31 + i * 2^8 vary in neither their low bits nor
+// their top bit. Every algorithm -- the array joins included, which
+// MaxLegalKeysJoinEverywhere has to skip -- strips the offset and the
+// shared low bits and joins them like dense keys. Probes off the stride,
+// below the smallest and above the largest build key must miss.
+TEST(Boundary, HighBitsOnlyKeysJoinEverywhere) {
+  constexpr uint64_t kBuild = 4096;
+  constexpr uint32_t kBase = uint32_t{1} << 31;
+  workload::Relation build(System(), kBuild);
+  for (uint64_t i = 0; i < kBuild; ++i) {
+    build.data()[i] = Tuple{kBase + static_cast<uint32_t>(i << 8),
+                            static_cast<uint32_t>(i)};
+  }
+  workload::Relation probe(System(), 4 * kBuild);
+  for (uint64_t i = 0; i < probe.size(); ++i) {
+    const uint32_t on_stride =
+        kBase + static_cast<uint32_t>(((i * 7919) % kBuild) << 8);
+    uint32_t key = on_stride;                      // hit
+    if (i % 4 == 1) key = on_stride + 1;           // off the stride
+    if (i % 4 == 2) key = on_stride - kBase;       // below the base
+    if (i % 8 == 3) key = kBase + (kBuild << 8);   // past the maximum
+    probe.data()[i] = Tuple{key, static_cast<uint32_t>(i)};
+  }
+  const join::JoinResult expected =
+      join::ReferenceJoin(build.cspan(), probe.cspan());
+  ASSERT_GT(expected.matches, 0u);
+  ASSERT_LT(expected.matches, probe.size());
+
+  join::JoinConfig config;
+  config.num_threads = 4;
+  for (const join::Algorithm algorithm : join::AllAlgorithms()) {
+    const auto result =
+        join::RunJoin(algorithm, System(), config, build, probe);
+    ASSERT_TRUE(result.ok()) << join::NameOf(algorithm) << ": "
+                             << result.status().ToString();
+    EXPECT_EQ(result->matches, expected.matches) << join::NameOf(algorithm);
+    EXPECT_EQ(result->checksum, expected.checksum)
+        << join::NameOf(algorithm);
+    EXPECT_EQ(result->key_shape.base, kBase);
+    EXPECT_EQ(result->key_shape.shift, 8u);
+    EXPECT_EQ(result->key_shape.stripped_domain(), kBuild);
+  }
+}
+
 TEST(Boundary, EmptyRelationsYieldZeroMatches) {
   Tuple one{5, 50};
   join::JoinConfig config;
@@ -67,13 +187,13 @@ TEST(Boundary, EmptyRelationsYieldZeroMatches) {
     const auto join = join::CreateJoin(algorithm);
     const join::JoinResult empty_probe =
         join->Run(System(), config, ConstTupleSpan(&one, 1),
-                  ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
+                  ConstTupleSpan(&one, 0)).value();
     const join::JoinResult empty_build =
         join->Run(System(), config, ConstTupleSpan(&one, 0),
-                  ConstTupleSpan(&one, 1), /*key_domain=*/6).value();
+                  ConstTupleSpan(&one, 1)).value();
     const join::JoinResult both_empty =
         join->Run(System(), config, ConstTupleSpan(&one, 0),
-                  ConstTupleSpan(&one, 0), /*key_domain=*/6).value();
+                  ConstTupleSpan(&one, 0)).value();
     EXPECT_EQ(empty_probe.matches, 0u) << join::NameOf(algorithm);
     EXPECT_EQ(empty_build.matches, 0u) << join::NameOf(algorithm);
     EXPECT_EQ(both_empty.matches, 0u) << join::NameOf(algorithm);

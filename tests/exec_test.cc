@@ -345,7 +345,6 @@ TEST(Pipeline, JoinSegmentAgreesWithReferenceJoin) {
     HashJoinProbe::Spec spec;
     spec.algorithm = join::Algorithm::kCPRL;
     spec.build = build.cspan();
-    spec.key_domain = 20000;
     HashJoinProbe join_probe(spec);
     CountAggregate aggregate({kJoinBuildPayloadCol, kJoinProbePayloadCol});
     Pipeline pipeline(&scan, {&join_probe}, &aggregate);
@@ -403,7 +402,6 @@ TEST(Pipeline, IndexMaterializeThenIndexScanRoundTrips) {
   HashJoinProbe::Spec spec;
   spec.algorithm = join::Algorithm::kCPRA;
   spec.build = build.cspan();
-  spec.key_domain = dim;
   HashJoinProbe join_probe(spec);
   JoinIndexMaterialize index;
   Pipeline lower(&scan, {&join_probe}, &index);

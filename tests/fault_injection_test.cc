@@ -233,6 +233,31 @@ TEST_F(JoinFaultTest, AllocatorLevelFaultPropagates) {
   EXPECT_EQ(recovered.value().matches, probe_.size());
 }
 
+// Array tables are sized from the observed key range, which may be too
+// large to allocate: that must surface as ResourceExhausted, not abort.
+// NOPA's global array is the first buffer its join allocates, so alloc.mmap
+// fails exactly that allocation. (The per-partition arrays of PRA/CPRA
+// share ArrayTable::TryCreate, covered in hash_test.)
+TEST_F(JoinFaultTest, ArrayTableAllocationFailureIsResourceExhausted) {
+  workload::Relation wide(joiner_.system(), 2);
+  wide.data()[0] = Tuple{0, 1};
+  wide.data()[1] = Tuple{uint32_t{1} << 22, 2};
+  const std::size_t live_before = joiner_.system()->num_live_regions();
+  ASSERT_TRUE(failpoint::Configure("alloc.mmap=once").ok());
+
+  const auto failed = joiner_.Run(join::Algorithm::kNOPA, wide, wide);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(failed.status().message().find("NOPA array table"),
+            std::string::npos)
+      << failed.status().message();
+  EXPECT_EQ(joiner_.system()->num_live_regions(), live_before);
+
+  const auto recovered = joiner_.Run(join::Algorithm::kNOPA, wide, wide);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().matches, 2u);
+}
+
 // An injected budget-reservation failure must surface exactly like a real
 // one -- a clean ResourceExhausted, no leaked regions -- in every algorithm,
 // and the same joiner must run cleanly right afterwards (budgets are

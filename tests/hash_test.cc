@@ -15,7 +15,9 @@
 #include "hash/linear_probing_table.h"
 #include "numa/system.h"
 #include "thread/thread_team.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace mmjoin::hash {
 namespace {
@@ -311,10 +313,43 @@ TEST(ArrayTable, ConcurrentInsertBitmapSafe) {
   }
 }
 
+// Strided, offset keys index by (key - base) >> stride; probes below the
+// base, off the stride or past the last cell miss.
+TEST(ArrayTable, KeyMapStripsBaseAndStride) {
+  constexpr uint32_t kBase = 0x80000000u;
+  auto table = ArrayTable::TryCreate(System(), 16,
+                                     ArrayTable::KeyMap{kBase, 8, 0},
+                                     numa::Placement::kLocal)
+                   .value();
+  for (uint32_t i = 0; i < 16; ++i) {
+    table->InsertSerial(Tuple{kBase + (i << 8), i});
+  }
+  for (uint32_t i = 0; i < 16; ++i) {
+    uint32_t payload = ~0u;
+    EXPECT_EQ(table->Probe(kBase + (i << 8),
+                           [&](Tuple t) { payload = t.payload; }),
+              1u);
+    EXPECT_EQ(payload, i);
+    EXPECT_EQ(table->Probe(kBase + (i << 8) + 1, [](Tuple) {}), 0u);
+  }
+  EXPECT_EQ(table->Probe(kBase - 256, [](Tuple) {}), 0u);
+  EXPECT_EQ(table->Probe(kBase + (16u << 8), [](Tuple) {}), 0u);
+  EXPECT_EQ(table->Probe(0, [](Tuple) {}), 0u);
+}
+
+TEST(ArrayTable, TryCreateReportsAllocationFailure) {
+  ASSERT_TRUE(failpoint::Configure("alloc.mmap=once").ok());
+  const auto table = ArrayTable::TryCreate(System(), 1 << 20,
+                                           ArrayTable::KeyMap{},
+                                           numa::Placement::kLocal);
+  failpoint::DeactivateAll();
+  EXPECT_EQ(table.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(ArrayTable, ResetClearsValidity) {
   hash::ArrayTable table(System(), 1000, 0, numa::Placement::kLocal);
   table.InsertSerial(Tuple{5, 1});
-  table.Reset(500, 0);
+  table.Reset(500, ArrayTable::KeyMap{});
   EXPECT_EQ(table.Probe(5, [](Tuple) {}), 0u);
 }
 

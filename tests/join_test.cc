@@ -283,5 +283,80 @@ TEST(Throughput, UsesInputBasedDefinition) {
   EXPECT_DOUBLE_EQ(result.ThroughputMtps(600'000'000, 400'000'000), 1000.0);
 }
 
+// --- Key shape ---------------------------------------------------------------
+
+KeyShape ShapeOf(const std::vector<uint32_t>& keys, int threads = 1) {
+  std::vector<Tuple> tuples;
+  for (const uint32_t key : keys) tuples.push_back(Tuple{key, 0});
+  JoinConfig config;
+  config.num_threads = threads;
+  return ScanKeyShape(config, ConstTupleSpan(tuples.data(), tuples.size()))
+      .value();
+}
+
+TEST(KeyShape, ScanFindsRangeAndSharedLowBits) {
+  const KeyShape empty = ShapeOf({});
+  EXPECT_EQ(empty.base, 0u);
+  EXPECT_EQ(empty.shift, 0u);
+  EXPECT_FALSE(empty.has_sentinel());
+
+  const KeyShape single = ShapeOf({4096});
+  EXPECT_EQ(single.base, 4096u);
+  EXPECT_EQ(single.max, 4096u);
+  EXPECT_EQ(single.shift, 0u);  // fewer than two distinct keys
+  EXPECT_EQ(single.stripped_domain(), 1u);
+
+  // 8, 24, 40 share their low four bits and step by 16.
+  const KeyShape strided = ShapeOf({40, 8, 24});
+  EXPECT_EQ(strided.base, 8u);
+  EXPECT_EQ(strided.max, 40u);
+  EXPECT_EQ(strided.shift, 4u);
+  EXPECT_EQ(strided.stripped_domain(), 3u);
+
+  const KeyShape dense = ShapeOf({3, 0, 2, 1});
+  EXPECT_EQ(dense.base, 0u);
+  EXPECT_EQ(dense.shift, 0u);
+  EXPECT_EQ(dense.stripped_domain(), 4u);
+
+  EXPECT_TRUE(ShapeOf({1, kEmptyKey}).has_sentinel());
+  // The widest legal range: 2^32 - 1 cells.
+  EXPECT_EQ(ShapeOf({0, 1, kEmptyKey - 1}).stripped_domain(),
+            (uint64_t{1} << 32) - 1);
+}
+
+// Builds large enough to scan on the executor give the inline scan's
+// answer.
+TEST(KeyShape, ParallelScanMatchesInlineScan) {
+  std::vector<uint32_t> keys;
+  for (uint32_t i = 0; i < (1u << 20); ++i) keys.push_back((i << 3) | 5);
+  std::swap(keys.front(), keys[keys.size() / 2]);
+  const KeyShape inline_shape = ShapeOf(keys, /*threads=*/1);
+  const KeyShape parallel_shape = ShapeOf(keys, /*threads=*/4);
+  EXPECT_EQ(inline_shape.base, 5u);
+  EXPECT_EQ(inline_shape.max, (((1u << 20) - 1) << 3) | 5);
+  EXPECT_EQ(inline_shape.shift, 3u);
+  EXPECT_EQ(parallel_shape.base, inline_shape.base);
+  EXPECT_EQ(parallel_shape.max, inline_shape.max);
+  EXPECT_EQ(parallel_shape.shift, inline_shape.shift);
+}
+
+// Dense keys from 0 keep the plan the joins had before the shape scan:
+// nothing to strip.
+TEST(KeyShape, DenseKeysAreReportedUnstripped) {
+  const workload::Relation build =
+      workload::MakeDenseBuild(System(), 5000, 31).value();
+  const workload::Relation probe =
+      workload::MakeUniformProbe(System(), 20000, 5000, 32).value();
+  JoinConfig config;
+  config.num_threads = 4;
+  for (const Algorithm algorithm : AllAlgorithms()) {
+    const JoinResult result =
+        RunJoin(algorithm, System(), config, build, probe).value();
+    EXPECT_EQ(result.key_shape.base, 0u) << NameOf(algorithm);
+    EXPECT_EQ(result.key_shape.max, 4999u) << NameOf(algorithm);
+    EXPECT_EQ(result.key_shape.shift, 0u) << NameOf(algorithm);
+  }
+}
+
 }  // namespace
 }  // namespace mmjoin::join

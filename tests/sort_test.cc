@@ -170,6 +170,22 @@ TEST(MultiwayMerge, EmptyRunsMixedIn) {
   EXPECT_EQ(out, (std::vector<uint64_t>{1, 2, 3, 5, 9}));
 }
 
+// The loser tree marks exhausted runs with ~0, which is also a legal packed
+// tuple (key and payload 0xFFFFFFFF, possible on the probe side). Such
+// tuples must come out in place, not end the merge early and leave the
+// tail of the output unwritten.
+TEST(MultiwayMerge, ValuesEqualToTheExhaustedRunMarker) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  std::vector<uint64_t> a = {1, kMax};
+  std::vector<uint64_t> b = {2};
+  std::vector<uint64_t> c = {3, kMax, kMax};
+  const SortedRun runs[] = {
+      {a.data(), a.size()}, {b.data(), b.size()}, {c.data(), c.size()}};
+  std::vector<uint64_t> out(6, 7);
+  MultiwayMerge(std::span<const SortedRun>(runs, 3), out.data());
+  EXPECT_EQ(out, (std::vector<uint64_t>{1, 2, 3, kMax, kMax, kMax}));
+}
+
 TEST(SortNetwork16, SortsAllPermutationStressCases) {
   Rng rng(77);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -583,6 +583,11 @@ TEST_F(TelemetryTest, ExplainReportMatchesPhaseProfileExactly) {
   EXPECT_NE(text.find("partition.pass1"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
 
+  // Both renderings carry the key shape the join observed (dense keys).
+  EXPECT_NE(json.find("\"key_shape\":{\"base\":0,"), std::string::npos)
+      << json;
+  EXPECT_NE(text.find("key shape : base=0"), std::string::npos) << text;
+
   // The latency histogram accrued this run.
   const obs::HistogramSnapshot latency =
       obs::MetricsRegistry::Get().GetHistogram("join.latency_ns")->Snapshot();
