@@ -113,23 +113,28 @@ class ArrayTable {
     return index;
   }
 
+  // A cell holds one tuple, so both inserts return true when the key's
+  // cell was already taken: a duplicate build key, which the array joins
+  // reject. The check reads the bitmap word the insert loads anyway.
+
   // Serial insert (per-partition arrays).
-  MMJOIN_ALWAYS_INLINE void InsertSerial(Tuple t) {
+  MMJOIN_ALWAYS_INLINE bool InsertSerial(Tuple t) {
     const uint64_t index = IndexOf(t.key);
+    const uint64_t bit = uint64_t{1} << (index & 63);
     payloads_[index] = t.payload;
-    valid_[index >> 6].store(
-        valid_[index >> 6].load(std::memory_order_relaxed) |
-            (uint64_t{1} << (index & 63)),
-        std::memory_order_relaxed);
+    const uint64_t word = valid_[index >> 6].load(std::memory_order_relaxed);
+    valid_[index >> 6].store(word | bit, std::memory_order_relaxed);
+    return (word & bit) != 0;
   }
 
   // Concurrent insert: distinct keys write distinct cells; only the bitmap
   // words are shared and use an atomic OR.
-  MMJOIN_ALWAYS_INLINE void InsertConcurrent(Tuple t) {
+  MMJOIN_ALWAYS_INLINE bool InsertConcurrent(Tuple t) {
     const uint64_t index = IndexOf(t.key);
+    const uint64_t bit = uint64_t{1} << (index & 63);
     payloads_[index] = t.payload;
-    valid_[index >> 6].fetch_or(uint64_t{1} << (index & 63),
-                                std::memory_order_release);
+    return (valid_[index >> 6].fetch_or(bit, std::memory_order_release) &
+            bit) != 0;
   }
 
   template <typename Emit>

@@ -62,14 +62,20 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
     bool built_here = true;
     SkewBuildSlots::Slot* slot =
         task.probe_slice_count > 1 ? slots->Find(p) : nullptr;
+    // Returns true when the partition repeats a build key.
     const auto gather = [&](Scratch* target) {
       target->Prepare(r_size);
+      bool duplicate = false;
       for (int c = 0; c < num_chunks; ++c) {
         const Tuple* fragment = r_data + r_layout.FragmentOffset(c, p);
         const uint64_t size = r_layout.FragmentSize(c, p);
         system->CountRead(node, fragment, size * sizeof(Tuple));
-        for (uint64_t i = 0; i < size; ++i) target->Insert(fragment[i]);
+        for (uint64_t i = 0; i < size; ++i) {
+          duplicate |= target->Insert(fragment[i]);
+        }
       }
+      if (duplicate) abort->Set(DuplicateBuildKeyError());
+      return !duplicate;
     };
     {
       obs::PhaseScope scope(profiler, tid, obs::JoinPhase::kBuild);
@@ -83,13 +89,13 @@ void JoinChunkedPartitions(numa::NumaSystem* system, int tid, int node,
                 abort->Set(table.status());
                 return std::unique_ptr<Scratch>();
               }
-              gather(table->get());
+              if (!gather(table->get())) return std::unique_ptr<Scratch>();
               return *std::move(table);
             },
             &built_here);
         if (build_table == nullptr) return;
-      } else {
-        gather(scratch);
+      } else if (!gather(scratch)) {
+        return;
       }
     }
 

@@ -191,6 +191,14 @@ inline Status InjectedAllocError(const char* phase) {
       " phase (failpoint alloc." + phase + ")");
 }
 
+// An array table holds one tuple per key: NOPA, PRA, CPRA and PRAiS reject
+// a build side with a repeated key instead of answering wrongly.
+inline Status DuplicateBuildKeyError() {
+  return InvalidArgumentError(
+      "duplicate build key: array joins keep one tuple per key and need "
+      "unique build keys");
+}
+
 // Forces the radix joins onto the spill-wave degradation path regardless of
 // the budget arithmetic, so tests can drive stage 2 deterministically (see
 // docs/ROBUSTNESS.md). Shared across the PR*/CPR* TUs like the alloc.*

@@ -4,14 +4,16 @@
 // 1. Range-partition both inputs on the high key bits into one partition per
 //    thread slot (single pass, SWWCB + non-temporal streaming), so
 //    co-partitions cover disjoint key ranges.
-// 2. Sort each co-partition: generate cache-sized sorted runs with the SIMD
-//    bitonic merge kernels, then combine all runs in ONE multi-way merge
-//    pass (saving memory round-trips vs. binary merging -- the "m-way"
-//    idea).
+// 2. Sort each co-partition in its partition buffer: pack each
+//    cache-sized run in place, sort it into the merge scratch with the SIMD
+//    bitonic kernels, then merge all runs back in ONE pass through a
+//    cache-resident tree of 2-way merges (saving memory round-trips vs.
+//    binary merging -- the "m-way" idea).
 // 3. Merge-join each sorted co-partition pair independently.
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -28,24 +30,46 @@
 namespace mmjoin::join::internal {
 namespace {
 
-// Sorted runs of this many packed tuples fit the paper machine's L2.
+// Sorted runs of this many packed tuples fit the paper machine's L2. Runs
+// of 2^14 to 2^17 sorted a 2-thread, 46M-tuple join equally fast within
+// run-to-run noise, so the paper's size stays.
 constexpr std::size_t kSortRunSize = std::size_t{1} << 15;
 
-// Sorts `data` in place: run generation + one multi-way merge through
-// `scratch` (same size).
-void SortMway(uint64_t* data, std::size_t n, uint64_t* scratch) {
+// Packs tuples[0, n) in place into words (PackTuple: key in the high
+// half). memcpy, not a cast, reads the tuples and writes the words.
+uint64_t* PackInPlace(Tuple* tuples, std::size_t n) {
+  auto* bytes = reinterpret_cast<unsigned char*>(tuples);
+  for (std::size_t i = 0; i < n; ++i) {
+    Tuple t;
+    std::memcpy(&t, bytes + i * sizeof(Tuple), sizeof(Tuple));
+    const uint64_t word = PackTuple(t);
+    std::memcpy(bytes + i * sizeof(uint64_t), &word, sizeof(uint64_t));
+  }
+  return reinterpret_cast<uint64_t*>(tuples);
+}
+
+// Sorts the partition tuples[0, n) in place into packed words (read them
+// with SortedWords). Each run is packed while it is loaded into cache
+// anyway and sorted into `scratch` (n words), the packed run serving as
+// its merge buffer; one multi-way merge then writes all runs back.
+void SortMway(Tuple* tuples, std::size_t n, uint64_t* scratch) {
   if (n <= kSortRunSize) {
-    sort::MergeSortPacked(data, n, scratch);
+    sort::MergeSortPacked(PackInPlace(tuples, n), n, scratch);
     return;
   }
   std::vector<sort::SortedRun> runs;
   for (std::size_t begin = 0; begin < n; begin += kSortRunSize) {
     const std::size_t size = std::min(kSortRunSize, n - begin);
-    sort::MergeSortPacked(data + begin, size, scratch + begin);
-    runs.push_back(sort::SortedRun{data + begin, size});
+    uint64_t* run = PackInPlace(tuples + begin, size);
+    sort::SortPackedInto(run, size, scratch + begin, run);
+    runs.push_back(sort::SortedRun{scratch + begin, size});
   }
-  sort::MultiwayMerge(runs, scratch);
-  std::copy(scratch, scratch + n, data);
+  sort::MultiwayMerge(runs, reinterpret_cast<uint64_t*>(tuples));
+}
+
+// The packed words SortMway left in a partition buffer.
+const uint64_t* SortedWords(const Tuple* tuples) {
+  return reinterpret_cast<const uint64_t*>(tuples);
 }
 
 // Merge-joins two key-sorted packed arrays, handling duplicates on both
@@ -105,14 +129,22 @@ class MwayJoin final : public JoinAlgorithm {
     if (PartitionAllocFailpoint()) return InjectedAllocError("partition");
 
     // Check-and-reject budget path: MWAY materializes both relations into
-    // partition buffers (8 B/tuple) plus packed sort buffers and merge
-    // scratch (8 B/tuple each) -- 24 B per input tuple total. The sort/merge
-    // pipeline needs all of it live at once, so there is no graceful
-    // degradation stage for MWAY.
+    // partition buffers, which it sorts in place, plus merge scratch (8
+    // B/tuple each) -- 16 B per input tuple total -- and each sorting
+    // thread holds one merge tree's FIFOs, sized here for the largest
+    // possible partition. The sort/merge pipeline needs all of it
+    // live at once, so there is no graceful degradation stage for MWAY.
+    const std::size_t max_runs =
+        (std::max(build.size(), probe.size()) + kSortRunSize - 1) /
+        kSortRunSize;
+    const std::size_t sorting_threads =
+        std::min<std::size_t>(num_threads, num_partitions);
     MMJOIN_ASSIGN_OR_RETURN(
         mem::BudgetReservation budget_hold,
         mem::BudgetReservation::Acquire(
-            config.budget, (build.size() + probe.size()) * 24,
+            config.budget,
+            (build.size() + probe.size()) * 16 +
+                sorting_threads * sort::MultiwayMergeScratchBytes(max_runs),
             "MWAY partition + sort buffers"));
 
     MMJOIN_ASSIGN_OR_RETURN(
@@ -135,19 +167,9 @@ class MwayJoin final : public JoinAlgorithm {
     partition::GlobalRadixPartitioner s_partitioner(
         system, options, probe, TupleSpan(s_part.data(), s_part.size()));
 
-    // Packed sort buffers (key in the high 32 bits) + merge scratch. These
-    // feed the sort phase (MWAY's "build"), hence the build failpoint.
+    // Merge scratch for the sort phase (MWAY's "build"), hence the build
+    // failpoint.
     if (BuildAllocFailpoint()) return InjectedAllocError("build");
-    MMJOIN_ASSIGN_OR_RETURN(
-        numa::NumaBuffer<uint64_t> r_packed,
-        TryBuffer<uint64_t>(system, build.size(),
-                            numa::Placement::kInterleavedPages,
-                            "MWAY R sort buffer"));
-    MMJOIN_ASSIGN_OR_RETURN(
-        numa::NumaBuffer<uint64_t> s_packed,
-        TryBuffer<uint64_t>(system, probe.size(),
-                            numa::Placement::kInterleavedPages,
-                            "MWAY S sort buffer"));
     MMJOIN_ASSIGN_OR_RETURN(
         numa::NumaBuffer<uint64_t> r_scratch,
         TryBuffer<uint64_t>(system, build.size(),
@@ -200,10 +222,12 @@ class MwayJoin final : public JoinAlgorithm {
         obs::PhaseScope scope(profiler.get(), tid, obs::JoinPhase::kSort);
         for (uint32_t p = static_cast<uint32_t>(tid); p < num_partitions;
              p += static_cast<uint32_t>(num_threads)) {
-          SortPartition(r_part.data(), r_layout, p, r_packed.data(),
-                        r_scratch.data());
-          SortPartition(s_part.data(), s_layout, p, s_packed.data(),
-                        s_scratch.data());
+          const uint64_t r_begin = r_layout.offsets[p];
+          const uint64_t s_begin = s_layout.offsets[p];
+          SortMway(r_part.data() + r_begin, r_layout.PartitionSize(p),
+                   r_scratch.data() + r_begin);
+          SortMway(s_part.data() + s_begin, s_layout.PartitionSize(p),
+                   s_scratch.data() + s_begin);
         }
       }
       // Merge-join scratch: failpoint before the barrier, unwind after.
@@ -219,8 +243,10 @@ class MwayJoin final : public JoinAlgorithm {
       ThreadStats* local = &stats[tid];
       for (uint32_t p = static_cast<uint32_t>(tid); p < num_partitions;
            p += static_cast<uint32_t>(num_threads)) {
-        const uint64_t* r_sorted = r_packed.data() + r_layout.offsets[p];
-        const uint64_t* s_sorted = s_packed.data() + s_layout.offsets[p];
+        const uint64_t* r_sorted =
+            SortedWords(r_part.data() + r_layout.offsets[p]);
+        const uint64_t* s_sorted =
+            SortedWords(s_part.data() + s_layout.offsets[p]);
         system->CountRead(node, r_sorted,
                           r_layout.PartitionSize(p) * sizeof(uint64_t));
         system->CountRead(node, s_sorted,
@@ -251,18 +277,6 @@ class MwayJoin final : public JoinAlgorithm {
     result.times.total_ns = end - start;
     if (profiler != nullptr) result.profile = profiler->Finish();
     return result;
-  }
-
- private:
-  static void SortPartition(const Tuple* partitioned,
-                            const partition::PartitionLayout& layout,
-                            uint32_t p, uint64_t* packed, uint64_t* scratch) {
-    const uint64_t begin = layout.offsets[p];
-    const uint64_t size = layout.PartitionSize(p);
-    for (uint64_t i = 0; i < size; ++i) {
-      packed[begin + i] = PackTuple(partitioned[begin + i]);
-    }
-    SortMway(packed + begin, size, scratch + begin);
   }
 };
 

@@ -36,6 +36,11 @@ struct LinearOps {
                                    /*home_node=*/0,
                                    hash::RadixShiftHash{shape.shift});
   }
+  // Duplicate keys take separate slots: never a rejected duplicate.
+  static bool Insert(Table& table, Tuple t) {
+    table.InsertConcurrent(t);
+    return false;
+  }
   static uint64_t TableBytes(ConstTupleSpan build, const KeyShape& shape) {
     return static_cast<uint64_t>(
         partition::kLinearSpace.bytes_per_tuple *
@@ -57,6 +62,10 @@ struct ArrayOps {
                                     table.status().message());
     }
     return table;
+  }
+  // True when the key's cell was already taken.
+  static bool Insert(Table& table, Tuple t) {
+    return table.InsertConcurrent(t);
   }
   static uint64_t TableBytes(ConstTupleSpan build, const KeyShape& shape) {
     return static_cast<uint64_t>(
@@ -118,9 +127,11 @@ class NopFamilyJoin final : public JoinAlgorithm {
                 thread::ChunkRange(build.size(), num_threads, tid);
             system->CountRead(node, build.data() + r_range.begin,
                               r_range.size() * sizeof(Tuple));
+            bool duplicate = false;
             for (std::size_t i = r_range.begin; i < r_range.end; ++i) {
-              table->InsertConcurrent(build[i]);
+              duplicate |= Ops::Insert(*table, build[i]);
             }
+            if (duplicate) abort.Set(DuplicateBuildKeyError());
             // Random writes into the interleaved table: one line per insert.
             system->CountWrite(node, table->raw_data(),
                                r_range.size() * kCacheLineSize);

@@ -55,7 +55,11 @@ class HashScratch {
             hash::RadixShiftHash{keys.TableShift()})));
   }
   void Prepare(uint64_t build_size) { table_->Reset(build_size); }
-  void Insert(Tuple t) { table_->InsertSerial(t); }
+  // Duplicate keys are chained or take separate slots: never rejected.
+  bool Insert(Tuple t) {
+    table_->InsertSerial(t);
+    return false;
+  }
   template <typename Emit>
   void Probe(uint32_t key, Emit&& emit) const {
     table_->Probe(key, emit);
@@ -97,7 +101,8 @@ class ArrayScratch {
         new ArrayScratch(*std::move(table), keys.PartitionDomain(), map));
   }
   void Prepare(uint64_t build_size) { table_->Reset(domain_, map_); }
-  void Insert(Tuple t) { table_->InsertSerial(t); }
+  // True when the key's cell was already taken (a duplicate build key).
+  bool Insert(Tuple t) { return table_->InsertSerial(t); }
   template <typename Emit>
   void Probe(uint32_t key, Emit&& emit) const {
     table_->Probe(key, emit);

@@ -154,8 +154,13 @@ void JoinPartitions(numa::NumaSystem* system, int tid, int node,
               }
               (*table)->Prepare(r_size);
               system->CountRead(node, r_part, r_size * sizeof(Tuple));
+              bool duplicate = false;
               for (uint64_t i = 0; i < r_size; ++i) {
-                (*table)->Insert(r_part[i]);
+                duplicate |= (*table)->Insert(r_part[i]);
+              }
+              if (duplicate) {
+                abort->Set(DuplicateBuildKeyError());
+                return std::unique_ptr<Scratch>();
               }
               return *std::move(table);
             },
@@ -164,7 +169,14 @@ void JoinPartitions(numa::NumaSystem* system, int tid, int node,
       } else {
         scratch.Prepare(r_size);
         system->CountRead(node, r_part, r_size * sizeof(Tuple));
-        for (uint64_t i = 0; i < r_size; ++i) scratch.Insert(r_part[i]);
+        bool duplicate = false;
+        for (uint64_t i = 0; i < r_size; ++i) {
+          duplicate |= scratch.Insert(r_part[i]);
+        }
+        if (duplicate) {
+          abort->Set(DuplicateBuildKeyError());
+          return;
+        }
       }
     }
 

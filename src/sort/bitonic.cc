@@ -1,258 +1,89 @@
 #include "sort/bitonic.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
-#include "util/macros.h"
+#include "sort/kernels.h"
 
 namespace mmjoin::sort {
+namespace internal {
 namespace {
 
-constexpr uint64_t kSignBias = uint64_t{1} << 63;
-constexpr std::size_t kRunSize = 64;  // insertion-sorted seed runs
-
-#if defined(__AVX2__)
-
-MMJOIN_ALWAYS_INLINE void MinMax(__m256i& a, __m256i& b) {
-  const __m256i gt = _mm256_cmpgt_epi64(a, b);
-  const __m256i mn = _mm256_blendv_epi8(a, b, gt);
-  const __m256i mx = _mm256_blendv_epi8(b, a, gt);
-  a = mn;
-  b = mx;
-}
-
-// Cleans one bitonic 4-sequence held in a single vector into ascending
-// order (two butterfly stages).
-MMJOIN_ALWAYS_INLINE __m256i BitonicClean4(__m256i v) {
-  // Distance 2.
-  __m256i sw = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(1, 0, 3, 2));
-  __m256i gt = _mm256_cmpgt_epi64(v, sw);
-  __m256i mn = _mm256_blendv_epi8(v, sw, gt);
-  __m256i mx = _mm256_blendv_epi8(sw, v, gt);
-  v = _mm256_blend_epi32(mn, mx, 0b11110000);
-  // Distance 1.
-  sw = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(2, 3, 0, 1));
-  gt = _mm256_cmpgt_epi64(v, sw);
-  mn = _mm256_blendv_epi8(v, sw, gt);
-  mx = _mm256_blendv_epi8(sw, v, gt);
-  return _mm256_blend_epi32(mn, mx, 0b11001100);
-}
-
-// Merges two ascending 4-vectors into an ascending 8-sequence:
-// lo = elements 0..3, hi = elements 4..7.
-MMJOIN_ALWAYS_INLINE void BitonicMerge8(__m256i a, __m256i b, __m256i* lo,
-                                        __m256i* hi) {
-  // Reverse b to form a bitonic 8-sequence, then one cross stage + cleanup.
-  b = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(0, 1, 2, 3));
-  MinMax(a, b);
-  *lo = BitonicClean4(a);
-  *hi = BitonicClean4(b);
-}
-
-// Transposes a 4x4 matrix of 64-bit lanes held in four vectors.
-MMJOIN_ALWAYS_INLINE void Transpose4x4(__m256i& v0, __m256i& v1, __m256i& v2,
-                                       __m256i& v3) {
-  const __m256i t0 = _mm256_unpacklo_epi64(v0, v1);
-  const __m256i t1 = _mm256_unpackhi_epi64(v0, v1);
-  const __m256i t2 = _mm256_unpacklo_epi64(v2, v3);
-  const __m256i t3 = _mm256_unpackhi_epi64(v2, v3);
-  v0 = _mm256_permute2x128_si256(t0, t2, 0x20);
-  v1 = _mm256_permute2x128_si256(t1, t3, 0x20);
-  v2 = _mm256_permute2x128_si256(t0, t2, 0x31);
-  v3 = _mm256_permute2x128_si256(t1, t3, 0x31);
-}
-
-// Reverses the 4 lanes of a vector.
-MMJOIN_ALWAYS_INLINE __m256i Reverse4(__m256i v) {
-  return _mm256_permute4x64_epi64(v, _MM_SHUFFLE(0, 1, 2, 3));
-}
-
-// Cleans a bitonic 8-sequence spanning (x0, x1) into ascending order.
-MMJOIN_ALWAYS_INLINE void BitonicClean8(__m256i& x0, __m256i& x1) {
-  MinMax(x0, x1);
-  x0 = BitonicClean4(x0);
-  x1 = BitonicClean4(x1);
-}
-
-void SortNetwork16Avx2(int64_t* data) {
-  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
-  __m256i v1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + 4));
-  __m256i v2 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + 8));
-  __m256i v3 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + 12));
-
-  // Stage 1: sort the 4 "columns" with a 4-element sorting network applied
-  // lane-wise across the vectors.
-  MinMax(v0, v1);
-  MinMax(v2, v3);
-  MinMax(v0, v2);
-  MinMax(v1, v3);
-  MinMax(v1, v2);
-
-  // Stage 2: transpose -> each vector is a sorted 4-run.
-  Transpose4x4(v0, v1, v2, v3);
-
-  // Stage 3: merge 4+4 -> two sorted 8-sequences.
-  __m256i a0, a1, b0, b1;
-  BitonicMerge8(v0, v1, &a0, &a1);
-  BitonicMerge8(v2, v3, &b0, &b1);
-
-  // Stage 4: merge 8+8 -> 16. Reverse the second sequence, one cross
-  // stage, then clean both bitonic halves.
-  __m256i rb0 = Reverse4(b1);
-  __m256i rb1 = Reverse4(b0);
-  MinMax(a0, rb0);
-  MinMax(a1, rb1);
-  BitonicClean8(a0, a1);
-  BitonicClean8(rb0, rb1);
-
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(data), a0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(data + 4), a1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(data + 8), rb0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(data + 12), rb1);
-}
-
-void MergeSignedRunsAvx2(const int64_t* a, std::size_t na, const int64_t* b,
-                         std::size_t nb, int64_t* out) {
-  std::size_t ia = 0, ib = 0, io = 0;
-  if (na >= 4 && nb >= 4) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    ia = 4;
-    while (ia + 4 <= na && ib + 4 <= nb) {
-      // Pull the block whose head is smaller.
-      const __m256i* src;
-      if (a[ia] <= b[ib]) {
-        src = reinterpret_cast<const __m256i*>(a + ia);
-        ia += 4;
-      } else {
-        src = reinterpret_cast<const __m256i*>(b + ib);
-        ib += 4;
-      }
-      __m256i w = _mm256_loadu_si256(src);
-      __m256i lo, hi;
-      BitonicMerge8(v, w, &lo, &hi);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + io), lo);
-      io += 4;
-      v = hi;
-    }
-    // Flush the in-flight vector back into scalar merging: the 4 elements
-    // of v are all <= the remaining stream heads' 4th elements, but may
-    // interleave with remaining elements, so spill and scalar-merge.
-    alignas(32) int64_t spill[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(spill), v);
-    std::size_t is = 0;
-    while (is < 4) {
-      const bool take_a = ia < na && a[ia] < spill[is] &&
-                          (ib >= nb || a[ia] <= b[ib]);
-      const bool take_b = !take_a && ib < nb && b[ib] < spill[is];
-      if (take_a) {
-        out[io++] = a[ia++];
-      } else if (take_b) {
-        out[io++] = b[ib++];
-      } else {
-        out[io++] = spill[is++];
-      }
-    }
-  }
-  // Scalar tail.
-  while (ia < na && ib < nb) {
-    out[io++] = a[ia] <= b[ib] ? a[ia++] : b[ib++];
-  }
-  while (ia < na) out[io++] = a[ia++];
-  while (ib < nb) out[io++] = b[ib++];
-}
-
-#endif  // __AVX2__
-
-void InsertionSortSigned(int64_t* data, std::size_t n) {
+void SortBlockScalar(const uint64_t* in, std::size_t n, uint64_t* out) {
+  if (in != out) std::copy_n(in, n, out);
   for (std::size_t i = 1; i < n; ++i) {
-    const int64_t v = data[i];
+    const uint64_t v = out[i];
     std::size_t j = i;
-    while (j > 0 && data[j - 1] > v) {
-      data[j] = data[j - 1];
+    while (j > 0 && out[j - 1] > v) {
+      out[j] = out[j - 1];
       --j;
     }
-    data[j] = v;
+    out[j] = v;
   }
+}
+
+// Branch-free: the compare selects the output word and both cursor steps.
+void MergeScalar(const uint64_t* a, std::size_t na, const uint64_t* b,
+                 std::size_t nb, uint64_t* out) {
+  while (na != 0 && nb != 0) {
+    const uint64_t x = *a;
+    const uint64_t y = *b;
+    const std::size_t take_a = x <= y;
+    *out++ = take_a != 0 ? x : y;
+    a += take_a;
+    na -= take_a;
+    b += 1 - take_a;
+    nb -= 1 - take_a;
+  }
+  std::copy_n(b, nb, std::copy_n(a, na, out));
 }
 
 }  // namespace
 
-bool HasSimdMerge() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
+const Kernels& ScalarKernels() {
+  static constexpr Kernels kScalar{SortBlockScalar, MergeScalar};
+  return kScalar;
 }
 
-void SortNetwork16Signed(int64_t* data) {
-#if defined(__AVX2__)
-  SortNetwork16Avx2(data);
-#else
-  InsertionSortSigned(data, 16);
-#endif
+const Kernels& ActiveKernels() {
+  static const Kernels& active =
+      Avx512Kernels() != nullptr ? *Avx512Kernels() : ScalarKernels();
+  return active;
 }
 
-void MergeSignedRuns(const int64_t* a, std::size_t na, const int64_t* b,
-                     std::size_t nb, int64_t* out) {
-#if defined(__AVX2__)
-  MergeSignedRunsAvx2(a, na, b, nb, out);
-#else
-  std::merge(a, a + na, b, b + nb, out);
-#endif
-}
-
-void MergeSortPacked(uint64_t* data, std::size_t n, uint64_t* scratch) {
-  if (n <= 1) return;
-
-  // Bias to signed order for the AVX2 compares.
-  auto* signed_data = reinterpret_cast<int64_t*>(data);
-  auto* signed_scratch = reinterpret_cast<int64_t*>(scratch);
-  for (std::size_t i = 0; i < n; ++i) data[i] ^= kSignBias;
-
-  // Seed runs: 16-element in-register sorting networks where AVX2 is
-  // available (full 16-blocks only), insertion sort otherwise/on tails.
-  std::size_t seed_width = kRunSize;
-#if defined(__AVX2__)
-  seed_width = 16;
-  const std::size_t full_blocks = n / 16 * 16;
-  for (std::size_t begin = 0; begin < full_blocks; begin += 16) {
-    SortNetwork16Avx2(signed_data + begin);
+void SortPacked(const Kernels& kernels, const uint64_t* in, std::size_t n,
+                uint64_t* out, uint64_t* tmp) {
+  // Place the sorted blocks so that the last merge pass writes `out`.
+  std::size_t passes = 0;
+  for (std::size_t width = kBlockSize; width < n; width *= 2) ++passes;
+  uint64_t* src = passes % 2 == 0 ? out : tmp;
+  uint64_t* dst = passes % 2 == 0 ? tmp : out;
+  for (std::size_t begin = 0; begin < n; begin += kBlockSize) {
+    kernels.sort_block(in + begin, std::min(kBlockSize, n - begin),
+                       src + begin);
   }
-  if (full_blocks < n) {
-    InsertionSortSigned(signed_data + full_blocks, n - full_blocks);
-  }
-#else
-  for (std::size_t begin = 0; begin < n; begin += kRunSize) {
-    InsertionSortSigned(signed_data + begin,
-                        std::min(kRunSize, n - begin));
-  }
-#endif
-
-  // Iterative bottom-up merging, ping-ponging between data and scratch.
-  int64_t* src = signed_data;
-  int64_t* dst = signed_scratch;
-  for (std::size_t width = seed_width; width < n; width *= 2) {
+  for (std::size_t width = kBlockSize; width < n; width *= 2) {
     for (std::size_t begin = 0; begin < n; begin += 2 * width) {
       const std::size_t mid = std::min(begin + width, n);
       const std::size_t end = std::min(begin + 2 * width, n);
-      MergeSignedRuns(src + begin, mid - begin, src + mid, end - mid,
-                      dst + begin);
+      kernels.merge(src + begin, mid - begin, src + mid, end - mid,
+                    dst + begin);
     }
     std::swap(src, dst);
   }
-  if (src != signed_data) {
-    std::memcpy(signed_data, src, n * sizeof(int64_t));
-  }
+}
 
-  for (std::size_t i = 0; i < n; ++i) data[i] ^= kSignBias;
+}  // namespace internal
+
+bool HasSimdMerge() { return internal::Avx512Kernels() != nullptr; }
+
+void MergeSortPacked(uint64_t* data, std::size_t n, uint64_t* scratch) {
+  internal::SortPacked(internal::ActiveKernels(), data, n, data, scratch);
+}
+
+void SortPackedInto(const uint64_t* in, std::size_t n, uint64_t* out,
+                    uint64_t* tmp) {
+  internal::SortPacked(internal::ActiveKernels(), in, n, out, tmp);
 }
 
 bool IsSortedPacked(const uint64_t* data, std::size_t n) {

@@ -250,8 +250,8 @@ TEST(Boundary, JoinerHandlesEmptyAndSingleTupleRelations) {
 }
 
 // A build side that is one giant duplicate group (every key equal) is the
-// worst case for chaining and probe termination. Array joins require unique
-// build keys by construction, so they sit this one out, as a planner would.
+// worst case for chaining and probe termination. Array joins keep one tuple
+// per key, so they reject it with InvalidArgument instead of answering.
 TEST(Boundary, JoinerHandlesAllDuplicateBuildKeys) {
   constexpr uint64_t kBuild = 64;
   constexpr uint64_t kProbe = 256;
@@ -274,8 +274,12 @@ TEST(Boundary, JoinerHandlesAllDuplicateBuildKeys) {
   join::JoinConfig config;
   config.build_unique = false;
   for (const join::Algorithm algorithm : join::AllAlgorithms()) {
-    if (join::InfoOf(algorithm).requires_dense_keys) continue;
     const auto result = joiner.Run(algorithm, config, build, probe);
+    if (join::InfoOf(algorithm).requires_dense_keys) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << join::NameOf(algorithm) << ": " << result.status().ToString();
+      continue;
+    }
     ASSERT_TRUE(result.ok()) << join::NameOf(algorithm) << ": "
                              << result.status().ToString();
     EXPECT_EQ(result.value().matches, expected.matches)

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "join/join_algorithm.h"
 #include "join/reference.h"
@@ -29,7 +30,7 @@ struct TrialConfig {
   uint64_t probe_size;
   uint64_t domain_factor;  // 1 = dense
   double zipf;
-  bool duplicates;  // duplicate build keys (non-array algorithms only)
+  bool duplicates;  // duplicate build keys (array algorithms reject them)
   int threads;
   uint32_t radix_bits;  // 0 = auto
   uint32_t skew_factor;
@@ -64,6 +65,14 @@ TrialConfig RandomTrial(Rng* rng) {
                           ? 0
                           : 1 + static_cast<uint32_t>(rng->NextBelow(16));
   return trial;
+}
+
+// True when some build key occurs more than once.
+bool HasDuplicateKeys(const workload::Relation& build) {
+  std::vector<uint32_t> keys(build.size());
+  for (uint64_t i = 0; i < build.size(); ++i) keys[i] = build.data()[i].key;
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) != keys.end();
 }
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
@@ -104,9 +113,16 @@ TEST_P(DifferentialTest, RandomTrialBatch) {
     config.skew_task_factor = trial.skew_factor;
     config.build_unique = !trial.duplicates;
 
+    const bool duplicate_keys = HasDuplicateKeys(build);
     for (const Algorithm algorithm : AllAlgorithms()) {
-      if (trial.duplicates && InfoOf(algorithm).requires_dense_keys) {
-        continue;  // array tables require unique keys by construction
+      if (duplicate_keys && InfoOf(algorithm).requires_dense_keys) {
+        // An array cell holds one tuple: a repeated key is rejected.
+        EXPECT_EQ(RunJoin(algorithm, system, config, build, probe)
+                      .status()
+                      .code(),
+                  StatusCode::kInvalidArgument)
+            << NameOf(algorithm) << " on " << trial.ToString();
+        continue;
       }
       const JoinResult result =
           RunJoin(algorithm, system, config, build, probe).value();
@@ -284,10 +300,18 @@ TEST_P(AdversarialKeysTest, MatchesReferenceWithinDenseTimeBound) {
   config.num_threads = 4;
   config.build_unique = c.unique;
   for (const Algorithm algorithm : AllAlgorithms()) {
-    // Array cells hold one tuple: duplicate build keys are outside their
-    // contract (as in the random trials above).
-    if (!c.unique && InfoOf(algorithm).requires_dense_keys) continue;
     const std::string label = std::string(NameOf(algorithm)) + " on " + c.name;
+    // Array cells hold one tuple: duplicate build keys are rejected (as in
+    // the random trials above).
+    if (!c.unique && InfoOf(algorithm).requires_dense_keys) {
+      EXPECT_EQ(RunJoin(algorithm, system, config, adversarial.build,
+                        adversarial.probe)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << label;
+      continue;
+    }
     const int64_t adversarial_ns =
         TimedJoin(algorithm, system, config, adversarial.build,
                   adversarial.probe, expected, label);
@@ -330,6 +354,36 @@ TEST(AdversarialSentinelTest, SentinelBuildKeyIsInvalidArgument) {
         RunJoin(algorithm, system, config, build, probe);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << NameOf(algorithm);
+  }
+}
+
+// A probe tuple with key and payload 0xFFFFFFFF packs to ~0, the largest
+// word MWAY sorts: it is a legal value, not an end marker, in run
+// generation and in the merge tree. Partitions hold several sort runs here,
+// so the tree merges them.
+TEST(MaxProbeTupleTest, AllOnesProbeTuplesMatchReference) {
+  static numa::NumaSystem* system = new numa::NumaSystem(4);
+  const workload::Relation build =
+      workload::MakeDenseBuild(system, 1 << 16, 0x71u).value();
+  workload::Relation probe =
+      workload::MakeProbeFromBuild(system, 5 << 16, build, 0x72u).value();
+  for (uint64_t j = 0; j < probe.size(); j += 3) {
+    probe.data()[j] = Tuple{0xFFFFFFFFu, 0xFFFFFFFFu};
+  }
+  const JoinResult expected = ReferenceJoin(build.cspan(), probe.cspan());
+  for (const int threads : {1, 2, 3}) {
+    JoinConfig config;
+    config.num_threads = threads;
+    for (const Algorithm algorithm : AllAlgorithms()) {
+      const StatusOr<JoinResult> result =
+          RunJoin(algorithm, system, config, build, probe);
+      ASSERT_TRUE(result.ok())
+          << NameOf(algorithm) << ": " << result.status().ToString();
+      EXPECT_EQ(result->matches, expected.matches)
+          << NameOf(algorithm) << " threads=" << threads;
+      EXPECT_EQ(result->checksum, expected.checksum)
+          << NameOf(algorithm) << " threads=" << threads;
+    }
   }
 }
 

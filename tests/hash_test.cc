@@ -313,6 +313,17 @@ TEST(ArrayTable, ConcurrentInsertBitmapSafe) {
   }
 }
 
+// A cell holds one tuple: both inserts report a key whose cell is taken.
+TEST(ArrayTable, InsertsReportDuplicateKeys) {
+  hash::ArrayTable table(System(), 1000, 0, numa::Placement::kLocal);
+  EXPECT_FALSE(table.InsertSerial(Tuple{7, 1}));
+  EXPECT_FALSE(table.InsertSerial(Tuple{8, 1}));
+  EXPECT_TRUE(table.InsertSerial(Tuple{7, 2}));
+  EXPECT_FALSE(table.InsertConcurrent(Tuple{9, 1}));
+  EXPECT_TRUE(table.InsertConcurrent(Tuple{9, 2}));
+  EXPECT_TRUE(table.InsertConcurrent(Tuple{8, 2}));
+}
+
 // Strided, offset keys index by (key - base) >> stride; probes below the
 // base, off the stride or past the last cell miss.
 TEST(ArrayTable, KeyMapStripsBaseAndStride) {
